@@ -311,6 +311,7 @@ main(int argc, char **argv)
             .field("wall_speedup", wall_speedup)
             .field("decode_iterations", coal.decodeIterations)
             .field("decode_windows", coal.decodeWindows)
+            .field("admission_candidates", coal.admissionCandidates)
             .field("window_reduction", window_reduction)
             .field("simulated_tokens_per_s",
                    coal_s > 0.0 ? tokens / coal_s : 0.0)

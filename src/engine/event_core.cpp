@@ -97,7 +97,6 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     std::size_t next_arrival = 0;
     std::deque<CostedRequest *> waiting;
     std::vector<CostedRequest *> active; // Admission order.
-    std::vector<AdmissionCandidate> candidates;
 
     // ---- Fault state (inert when faults are off) -----------------------
     const bool faulty = faults_.enabled;
@@ -585,6 +584,37 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         return out;
     };
 
+    // Waiting request c as the scheduler sees it right now. The
+    // admission loop guarantees a free batch slot; admissible adds the
+    // running batch's model (the engine serves one model at a time; an
+    // empty batch anchors on whatever is admitted first) and a KV
+    // allocation that fits: the full footprint under Reserve, the
+    // current residency (plus the low-watermark growth headroom while
+    // others run) under Paged. The prefill price is the current mode's.
+    auto candidate_of = [&](const CostedRequest &c) {
+        AdmissionCandidate cand;
+        cand.promptLen = c.req->promptLen;
+        cand.decodeLen = c.req->decodeLen;
+        cand.waitCycles = clock - c.arrivalCycles;
+        cand.prefillCycles =
+            degraded_mode ? c.prefillCyclesDeg : c.prefillCycles;
+        const bool model_ok =
+            active.empty() || c.req->model == active.front()->req->model;
+        bool kv_ok;
+        if (paged) {
+            const double alloc = pool.allocatedBytes(c.kvBytesPerToken,
+                                                     resident_tokens(c));
+            kv_ok = pool.fits(alloc, !active.empty());
+        } else {
+            kv_ok = !bounded || kv_in_use + c.kvBytes <= kv_.capacityBytes;
+        }
+        cand.admissible = model_ok && kv_ok;
+        return cand;
+    };
+    // Built lazily per consult: a policy pays only for what it reads.
+    AdmissionView view(
+        [&](std::size_t i) { return candidate_of(*waiting[i]); });
+
     const std::size_t total = requests.size();
     while (stats.completed.size() + stats.droppedRequests < total) {
         // An idle engine holds no KV. Assert that (a drift beyond any
@@ -644,13 +674,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         }
 
         // Admission: the scheduler picks among the admissible waiting
-        // requests — a free batch slot, the running batch's model (the
-        // engine serves one model at a time; an empty batch anchors on
-        // whatever is admitted first), and a KV allocation that fits:
-        // the full footprint under Reserve, the current residency
-        // (plus the low-watermark growth headroom while others run)
-        // under Paged. Each admission pays its prefill before joining
-        // the batch.
+        // requests (candidate_of above). Each admission pays its
+        // prefill before joining the batch.
         bool admitted_any = false;
         bool deferred = false;
         while (!waiting.empty() && active.size() < maxBatch_) {
@@ -665,31 +690,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 if (waiting.empty())
                     break;
             }
-            const std::string *batch_model =
-                active.empty() ? nullptr : &active.front()->req->model;
-            candidates.clear();
-            candidates.reserve(waiting.size());
-            for (const CostedRequest *c : waiting) {
-                AdmissionCandidate cand;
-                cand.promptLen = c->req->promptLen;
-                cand.decodeLen = c->req->decodeLen;
-                cand.waitCycles = clock - c->arrivalCycles;
-                cand.prefillCycles = degraded_mode ? c->prefillCyclesDeg
-                                                   : c->prefillCycles;
-                const bool model_ok = batch_model == nullptr ||
-                                      c->req->model == *batch_model;
-                bool kv_ok;
-                if (paged) {
-                    const double alloc = pool.allocatedBytes(
-                        c->kvBytesPerToken, resident_tokens(*c));
-                    kv_ok = pool.fits(alloc, !active.empty());
-                } else {
-                    kv_ok = !bounded ||
-                            kv_in_use + c->kvBytes <= kv_.capacityBytes;
-                }
-                cand.admissible = model_ok && kv_ok;
-                candidates.push_back(cand);
-            }
+            view.reset(waiting.size());
             KvPressure pressure;
             pressure.bounded = bounded;
             if (bounded) {
@@ -699,19 +700,16 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 pressure.freeFraction =
                     pressure.freeBytes / kv_.capacityBytes;
             }
-            const std::size_t pick =
-                scheduler_->pick(candidates, pressure);
+            const std::size_t pick = scheduler_->pick(view, pressure);
             if (pick == Scheduler::npos) {
                 // npos with an admissible candidate is a live deferral
                 // the per-token loop would revisit after exactly one
                 // iteration: it pins the coalescing window to k = 1 so
                 // the scheduler is consulted on the same cadence.
-                for (const AdmissionCandidate &cand : candidates)
-                    deferred = deferred || cand.admissible;
+                deferred = view.anyAdmissible();
                 break;
             }
-            panicIf(pick >= candidates.size() ||
-                        !candidates[pick].admissible,
+            panicIf(pick >= view.size() || !view[pick].admissible,
                     "scheduler picked an inadmissible request");
             CostedRequest *c = waiting[pick];
             waiting.erase(waiting.begin() +
@@ -933,6 +931,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     }
 
     stats.clockCycles = clock;
+    stats.admissionCandidates = view.built();
     if (paged) {
         stats.kvPeakBytes = pool.peakUsedBytes();
         stats.kvFragmentationPeakBytes = pool.peakFragmentationBytes();

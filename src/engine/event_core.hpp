@@ -240,6 +240,14 @@ struct EventStats
      * windows otherwise — the coalescing speedup is their ratio.
      */
     std::size_t decodeWindows = 0;
+    /**
+     * Admission candidates built across every scheduler consult
+     * (AdmissionView entries actually read, deferral checks included):
+     * the event core's host-independent admission work. One per
+     * admission under FIFO whenever the head is admissible; the whole
+     * queue per consult under shortest-prompt.
+     */
+    std::size_t admissionCandidates = 0;
     std::size_t peakBatch = 0;
     double kvPeakBytes = 0.0;   ///< Peak in-flight KV residency.
     /** Paged policy: preempt-and-recompute counters. */

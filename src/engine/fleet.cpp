@@ -452,6 +452,7 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                      rep.kvFragmentationPeakBytes);
         merged.decodeIterations += rep.decodeIterations;
         merged.decodeWindows += rep.decodeWindows;
+        merged.admissionCandidates += rep.admissionCandidates;
         occupancyWeighted += rep.meanBatchOccupancy *
                              static_cast<double>(rep.decodeIterations);
         blockUtilWeighted += rep.kvBlockUtilization *

@@ -1,8 +1,46 @@
 #include "engine/scheduler.hpp"
 
+#include <utility>
+
 #include "common/logging.hpp"
 
 namespace mcbp::engine {
+
+AdmissionView::AdmissionView(Builder build) : build_(std::move(build))
+{
+    panicIf(!build_, "admission view needs a candidate builder");
+}
+
+void
+AdmissionView::reset(std::size_t size)
+{
+    size_ = size;
+    ++consult_;
+    if (memo_.size() < size)
+        memo_.resize(size);
+}
+
+const AdmissionCandidate &
+AdmissionView::operator[](std::size_t i) const
+{
+    panicIf(i >= size_, "admission view index out of range");
+    Slot &slot = memo_[i];
+    if (slot.consult != consult_) {
+        slot.candidate = build_(i);
+        slot.consult = consult_;
+        ++built_;
+    }
+    return slot.candidate;
+}
+
+bool
+AdmissionView::anyAdmissible() const
+{
+    for (std::size_t i = 0; i < size_; ++i)
+        if ((*this)[i].admissible)
+            return true;
+    return false;
+}
 
 namespace {
 
@@ -13,10 +51,10 @@ class FifoScheduler final : public Scheduler
     std::string name() const override { return "fifo"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
+    pick(const AdmissionView &waiting,
          const KvPressure &) const override
     {
-        if (!waiting.empty() && waiting.front().admissible)
+        if (waiting.size() > 0 && waiting[0].admissible)
             return 0;
         return npos;
     }
@@ -29,7 +67,7 @@ class SkipAheadScheduler final : public Scheduler
     std::string name() const override { return "skip-ahead"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
+    pick(const AdmissionView &waiting,
          const KvPressure &) const override
     {
         for (std::size_t i = 0; i < waiting.size(); ++i)
@@ -60,7 +98,7 @@ class ShortestPromptScheduler final : public Scheduler
     std::string name() const override { return "shortest-prompt"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
+    pick(const AdmissionView &waiting,
          const KvPressure &) const override
     {
         std::size_t best = npos;

@@ -9,6 +9,17 @@
  * slot, same model as the running batch, KV allocation fits), and the
  * current KV-pool pressure, which request is admitted next?
  *
+ * The queue reaches the scheduler as an AdmissionView: a lazy view
+ * whose entry i is built (wait, prefill price, admissibility) on
+ * first access and memoized for the rest of that consult. A policy
+ * pays only for the entries it reads, which is what keeps admission
+ * linear in the trace when an overloaded queue holds thousands of
+ * requests. Cost per admission, in candidates built:
+ *
+ *  - strict FIFO: O(1) — the head only.
+ *  - skip-ahead: O(first admissible entry) — it stops there.
+ *  - shortest-prompt-first: O(queue) — the key needs every entry.
+ *
  * Three policies ship:
  *  - strict FIFO: admit the queue head or nobody. A different-model or
  *    KV-blocked head stalls admission (head-of-line blocking), which
@@ -37,14 +48,17 @@
  * candidate sets provably cannot have gained an admissible entry
  * since the last decision (no arrival, completion, preemption or
  * paged block allocation in between); a deferral (npos while a
- * candidate is admissible) is a live decision, so the core re-asks on
- * the per-token cadence in that case. A stateful scheduler that
- * changes its answer with nothing but waitCycles aging would need
- * MCBP_SERVING_STEP=per-token.
+ * candidate is admissible — the core asks view.anyAdmissible() after
+ * an npos, reusing the entries pick() already built) is a live
+ * decision, so the core re-asks on the per-token cadence in that
+ * case. A stateful scheduler that changes its answer with nothing but
+ * waitCycles aging would need MCBP_SERVING_STEP=per-token.
  */
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +99,52 @@ struct AdmissionCandidate
     bool admissible = false;
 };
 
+/**
+ * The waiting queue (arrival order) as one admission consult sees it.
+ * Entry i is built by the event core's admissibility function on first
+ * access and memoized until the next reset(), so a policy that reads
+ * the head only builds one candidate however long the queue is.
+ * Single-threaded, like the event loop that owns it.
+ */
+class AdmissionView
+{
+  public:
+    /** Builds the candidate at queue position i, from live core state. */
+    using Builder = std::function<AdmissionCandidate(std::size_t)>;
+
+    explicit AdmissionView(Builder build);
+
+    /** Start a new consult over @p size entries, forgetting every
+     *  memoized candidate (O(1); the memo is stamped per consult). */
+    void reset(std::size_t size);
+
+    std::size_t size() const { return size_; }
+
+    /** Entry @p i (< size()), built on first access this consult. */
+    const AdmissionCandidate &operator[](std::size_t i) const;
+
+    /** Whether any entry is admissible: walks from the head, stops at
+     *  the first admissible entry and reuses memoized ones. */
+    bool anyAdmissible() const;
+
+    /** Candidates built over every consult so far (host-independent
+     *  admission work; EventStats::admissionCandidates). */
+    std::size_t built() const { return built_; }
+
+  private:
+    struct Slot
+    {
+        AdmissionCandidate candidate;
+        std::uint64_t consult = 0; ///< Consult that built it; 0 = none.
+    };
+
+    Builder build_;
+    std::size_t size_ = 0;
+    std::uint64_t consult_ = 0;
+    mutable std::vector<Slot> memo_;
+    mutable std::size_t built_ = 0;
+};
+
 /** KV-pool pressure at the moment of an admission decision. */
 struct KvPressure
 {
@@ -107,14 +167,14 @@ class Scheduler
     /**
      * Index into @p waiting (arrival order) of the request to admit
      * next, or npos to wait — e.g. deferring under @p kv pressure.
-     * Must return an admissible index. Deferral requires someone
-     * else to make progress: npos with an idle engine and no future
-     * arrival left to wake it is a contract violation the event core
-     * panics on (admission livelock).
+     * Must return an admissible index. Read only the entries the
+     * policy needs: each one read is built (and counted) on demand.
+     * Deferral requires someone else to make progress: npos with an
+     * idle engine and no future arrival left to wake it is a contract
+     * violation the event core panics on (admission livelock).
      */
     virtual std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
-         const KvPressure &kv) const = 0;
+    pick(const AdmissionView &waiting, const KvPressure &kv) const = 0;
 };
 
 /**

@@ -424,6 +424,7 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     report.kvFragmentationPeakBytes = stats.kvFragmentationPeakBytes;
     report.decodeIterations = stats.iterations;
     report.decodeWindows = stats.decodeWindows;
+    report.admissionCandidates = stats.admissionCandidates;
     report.admissionOrder = std::move(stats.admissionOrder);
     report.preemptionOrder = std::move(stats.preemptionOrder);
 

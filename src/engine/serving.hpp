@@ -256,6 +256,10 @@ struct ServingReport
      *  is the coalescing win; see EventStats::decodeWindows). */
     std::size_t decodeIterations = 0;
     std::size_t decodeWindows = 0;
+    /** Candidates built for scheduler consults (see
+     *  EventStats::admissionCandidates): linear in the trace for FIFO
+     *  and skip-ahead, whatever the queue depth. */
+    std::size_t admissionCandidates = 0;
     /** Scheduling decisions in decision order (request ids): what the
      *  coalescing equivalence contract compares verbatim against the
      *  per-token reference (see EventStats). */

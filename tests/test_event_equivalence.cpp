@@ -11,16 +11,25 @@
  *    forms only re-associate floating-point sums);
  *  - coalescing actually coalesces (decodeWindows << decodeIterations)
  *    and the per-token path remains one pass per iteration;
+ *  - under overload (two interleaved models at about twice the chip's
+ *    capacity, so the queue grows for the whole trace) every decision
+ *    log hashes to the value the eager admission path produced before
+ *    the scheduler saw a lazy AdmissionView, and FIFO really takes the
+ *    blocked-head deferral path (a different-model head with
+ *    admissible peers behind it);
  *  - MCBP_SERVING_STEP spelling is validated (fatal on junk).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "engine/event_core.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
@@ -228,6 +237,202 @@ TEST(EventEquivalence, CoalescedMatchesPerTokenUnderInjectedFaults)
             expectEquivalent(a, b);
         }
     }
+}
+
+/**
+ * OPT1B3 and Bloom1B7 MBPP requests interleaved on one chip at
+ * 1 req/s, about twice what skip-ahead serves at batch 8 (and more for
+ * FIFO, which stalls on every model switch): the queue grows for the
+ * whole trace.
+ */
+std::vector<model::Request>
+twoModelOverloadTrace()
+{
+    std::vector<model::Request> trace;
+    std::uint64_t seed = 23;
+    for (const char *name : {"OPT1B3", "Bloom1B7"}) {
+        model::TraceConfig tc;
+        tc.model = name;
+        tc.task = "MBPP";
+        tc.requests = 120;
+        tc.arrivalsPerSecond = 0.5;
+        tc.seed = seed++;
+        const auto part = model::synthesizeTrace(tc);
+        trace.insert(trace.end(), part.begin(), part.end());
+    }
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const model::Request &a, const model::Request &b) {
+                         return a.arrivalSeconds < b.arrivalSeconds;
+                     });
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace[i].id = i;
+    return trace;
+}
+
+/** FNV-1a over every decision log of @p r, each prefixed with its
+ *  length (admission, preemption, completion, retry, drop), then the
+ *  decode window count: a coalesced run's windows pin where it
+ *  re-consulted the scheduler (a deferral pins a window to k = 1). */
+std::uint64_t
+decisionDigest(const ServingReport &r)
+{
+    std::vector<std::size_t> completion;
+    for (const RequestMetrics &m : r.requests)
+        completion.push_back(m.id);
+    const std::vector<std::size_t> *logs[] = {
+        &r.admissionOrder, &r.preemptionOrder, &completion, &r.retryOrder,
+        &r.dropOrder};
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const std::vector<std::size_t> *log : logs) {
+        mix(log->size());
+        for (std::size_t id : *log)
+            mix(id);
+    }
+    mix(r.decodeWindows);
+    return h;
+}
+
+/** Options of one overload cell: bounded reserve holds about half
+ *  the unbounded peak, paged a quarter (so it preempts); the faulted
+ *  variant adds a transient chip failure early in the trace (kills
+ *  and retries) and a deadline that drops the longest-queued
+ *  requests. */
+ServingOptions
+overloadOptions(const Accelerator &accel,
+                const std::vector<model::Request> &trace,
+                SchedulerPolicy policy, KvPolicy kv, bool faulted)
+{
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    opts.policy = policy;
+    ServingOptions probe = opts;
+    probe.kvCapacityBytes = 0.0;
+    const double peak =
+        ServingSimulator(accel, probe).simulate(trace).kvPeakBytes;
+    opts.kvPolicy = kv;
+    opts.kvCapacityBytes = kv == KvPolicy::Paged ? peak / 4.0 : peak / 2.0;
+    if (faulted) {
+        sim::FaultEvent fail;
+        fail.at = 60.0;
+        fail.kind = sim::FaultKind::ChipFail;
+        fail.permanent = false;
+        fail.repairAt = 70.0;
+        opts.faults.events.push_back(fail);
+        opts.retry.deadlineSeconds = 300.0;
+    }
+    return opts;
+}
+
+TEST(EventEquivalence, OverloadDecisionsMatchEagerAdmission)
+{
+    // Digests captured from the eager admission path (every waiting
+    // request built into a candidate vector at every consult).
+    struct Cell
+    {
+        SchedulerPolicy policy;
+        KvPolicy kv;
+        bool faulted;
+        std::uint64_t digest;
+    };
+    using P = SchedulerPolicy;
+    using K = KvPolicy;
+    const Cell cells[] = {
+        {P::Fifo, K::Reserve, false, 0xa3380e87eef96005ull},
+        {P::Fifo, K::Paged, false, 0xc00fe20fd1a3b73cull},
+        {P::SkipAhead, K::Reserve, false, 0xe05def273437b543ull},
+        {P::SkipAhead, K::Paged, false, 0xe58dce34a8d2f43eull},
+        {P::ShortestPromptFirst, K::Reserve, false, 0x8d13f2ceac276e54ull},
+        {P::ShortestPromptFirst, K::Paged, false, 0x69978a20368d1417ull},
+        {P::Fifo, K::Reserve, true, 0x1425571fd617fd8eull},
+        {P::Fifo, K::Paged, true, 0x302eb6a03f930a17ull},
+        {P::SkipAhead, K::Reserve, true, 0xa7bf282bd6da546dull},
+        {P::SkipAhead, K::Paged, true, 0x0eb6189e6ff1b578ull},
+        {P::ShortestPromptFirst, K::Reserve, true, 0xd46c842118a51ff5ull},
+        {P::ShortestPromptFirst, K::Paged, true, 0x795fc87a99d35511ull},
+    };
+    const auto trace = twoModelOverloadTrace();
+    Registry registry;
+    auto accel = registry.make("mcbp");
+    for (const Cell &cell : cells) {
+        const ServingOptions opts = overloadOptions(
+            *accel, trace, cell.policy, cell.kv, cell.faulted);
+        ServingOptions ref = opts;
+        ref.stepMode = StepMode::PerToken;
+        ServingOptions coal = opts;
+        coal.stepMode = StepMode::Coalesced;
+        const ServingReport a =
+            ServingSimulator(*accel, ref).simulate(trace);
+        const ServingReport b =
+            ServingSimulator(*accel, coal).simulate(trace);
+        SCOPED_TRACE(toString(cell.policy) + " / " + toString(cell.kv) +
+                     (cell.faulted ? " / faulted" : ""));
+        expectEquivalent(a, b);
+        if (cell.kv == KvPolicy::Paged) {
+            EXPECT_GT(b.preemptions, 0u);
+        }
+        if (cell.faulted) {
+            EXPECT_GT(b.retriesScheduled, 0u);
+            EXPECT_GT(b.droppedRequests, 0u);
+        }
+        EXPECT_EQ(decisionDigest(b), cell.digest)
+            << std::hex << "0x" << decisionDigest(b);
+    }
+}
+
+/** FIFO that counts its blocked-head deferrals: npos while an entry
+ *  behind the head is admissible (the window-pinning case). */
+class DeferralCountingFifo final : public Scheduler
+{
+  public:
+    std::string name() const override { return "fifo"; }
+
+    std::size_t
+    pick(const AdmissionView &waiting, const KvPressure &kv) const override
+    {
+        const std::size_t choice = fifo_->pick(waiting, kv);
+        if (choice == npos && waiting.anyAdmissible())
+            ++deferrals;
+        return choice;
+    }
+
+    mutable std::size_t deferrals = 0;
+
+  private:
+    std::unique_ptr<Scheduler> fifo_ = makeScheduler(SchedulerPolicy::Fifo);
+};
+
+TEST(EventEquivalence, OverloadFifoTakesBlockedHeadDeferral)
+{
+    const auto trace = twoModelOverloadTrace();
+    Registry registry;
+    auto accel = registry.make("mcbp");
+    ServingOptions opts = overloadOptions(
+        *accel, trace, SchedulerPolicy::Fifo, KvPolicy::Reserve, false);
+    opts.stepMode = StepMode::Coalesced;
+    const ServingSimulator sim(*accel, opts);
+    const ServingReport report = sim.simulate(trace);
+
+    ServingSimulator::CostedTrace costed = sim.costTrace(trace);
+    KvOptions kv;
+    kv.policy = opts.kvPolicy;
+    kv.capacityBytes = opts.kvCapacityBytes;
+    DeferralCountingFifo fifo;
+    const EventStats stats =
+        EventCore(fifo, opts.maxBatch, kv, nullptr, StepMode::Coalesced)
+            .run(costed.costs);
+    // A different-model head with admissible peers happens often...
+    EXPECT_GT(fifo.deferrals, 0u);
+    // ...and the wrapper's deferral walk changes no decision and
+    // builds nothing new: the core's own walk after the npos reuses
+    // every entry it memoized.
+    EXPECT_EQ(stats.admissionOrder, report.admissionOrder);
+    EXPECT_EQ(stats.admissionCandidates, report.admissionCandidates);
 }
 
 TEST(EventEquivalence, StepModeSpellingsAndEnvValidation)
