@@ -10,7 +10,8 @@
  *     singleflight fan-out (costingThreads = 0, cold plan cache).
  *     The costed traces are verified bit-identical always; the >= 4x
  *     speedup gate binds only when the host grants >= 8 hardware
- *     threads (the fan-out cannot win on a 1-2 core runner).
+ *     threads (the fan-out cannot win on a 1-2 core runner), and the
+ *     not-slower gate (parallel >= serial) from 4 hardware threads.
  *  2. Decode-iteration coalescing — the same long-decode trace played
  *     through the event core per-token vs coalesced, under reserve
  *     and under a preempting paged pool. Scheduling decisions
@@ -168,7 +169,12 @@ main(int argc, char **argv)
     const bool cost_gate_enforced = parallel::hardwareThreads() >= 8;
     const bool cost_gate =
         cost_identical && (!cost_gate_enforced || cost_speedup >= 4.0);
-    all_gates = all_gates && cost_gate;
+    // No-regression gate: the pooled fan-out must not lose to serial
+    // once the host has the cores to run it.
+    const bool no_slower_enforced = parallel::hardwareThreads() >= 4;
+    const bool no_slower_gate =
+        !no_slower_enforced || cost_speedup >= 1.0;
+    all_gates = all_gates && cost_gate && no_slower_gate;
 
     std::printf("  requests %zu  distinct shapes %zu  threads %zu\n",
                 costing_trace.size(), par_sim.planCache()->size(),
@@ -186,6 +192,13 @@ main(int argc, char **argv)
     else
         std::printf("  speedup gate (>= 4x): %s\n",
                     cost_gate ? "pass" : "FAIL");
+    if (!no_slower_enforced)
+        std::printf("  not-slower gate (>= 1x) skipped: %zu hardware "
+                    "threads < 4\n",
+                    parallel::hardwareThreads());
+    else
+        std::printf("  not-slower gate (>= 1x): %s\n",
+                    no_slower_gate ? "pass" : "FAIL");
     json.begin()
         .field("section", "trace_costing")
         .field("requests", costing_trace.size())
@@ -197,7 +210,9 @@ main(int argc, char **argv)
                par_s > 0.0 ? costing_trace.size() / par_s : 0.0)
         .field("speedup", cost_speedup)
         .field("bit_identical", cost_identical ? 1 : 0)
-        .field("gate_enforced", cost_gate_enforced ? 1 : 0);
+        .field("gate_enforced", cost_gate_enforced ? 1 : 0)
+        .field("not_slower_gate_enforced", no_slower_enforced ? 1 : 0)
+        .field("not_slower_gate", no_slower_gate ? 1 : 0);
 
     // ---- Section 2: decode-iteration coalescing ----------------------
     bench::banner("Decode coalescing: per-token vs coalesced stepping");

@@ -305,33 +305,54 @@ McbpAccelerator::run(const model::LlmConfig &model,
     return plan(model, task).fold();
 }
 
-McbpAccelerator
-makeMcbpStandard(std::size_t processors)
+McbpOptions
+mcbpStandardOptions(std::size_t processors)
 {
     McbpOptions o;
     o.alpha = 0.6;
     o.processors = processors;
-    return McbpAccelerator(sim::defaultConfig(), o);
+    return o;
+}
+
+McbpAccelerator
+makeMcbpStandard(std::size_t processors)
+{
+    return McbpAccelerator(sim::defaultConfig(),
+                           mcbpStandardOptions(processors));
+}
+
+McbpOptions
+mcbpAggressiveOptions(std::size_t processors)
+{
+    McbpOptions o;
+    o.alpha = 0.5;
+    o.processors = processors;
+    return o;
 }
 
 McbpAccelerator
 makeMcbpAggressive(std::size_t processors)
 {
-    McbpOptions o;
-    o.alpha = 0.5;
-    o.processors = processors;
-    return McbpAccelerator(sim::defaultConfig(), o);
+    return McbpAccelerator(sim::defaultConfig(),
+                           mcbpAggressiveOptions(processors));
 }
 
-McbpAccelerator
-makeMcbpBaseline(std::size_t processors)
+McbpOptions
+mcbpBaselineOptions(std::size_t processors)
 {
     McbpOptions o;
     o.enableBrcr = false;
     o.enableBstc = false;
     o.enableBgpp = false;
     o.processors = processors;
-    return McbpAccelerator(sim::defaultConfig(), o);
+    return o;
+}
+
+McbpAccelerator
+makeMcbpBaseline(std::size_t processors)
+{
+    return McbpAccelerator(sim::defaultConfig(),
+                           mcbpBaselineOptions(processors));
 }
 
 } // namespace mcbp::accel

@@ -95,12 +95,15 @@ class McbpAccelerator
 };
 
 /** Paper's "standard" configuration (alpha 0.6, all techniques). */
+McbpOptions mcbpStandardOptions(std::size_t processors = 1);
 McbpAccelerator makeMcbpStandard(std::size_t processors = 1);
 
 /** Paper's "aggressive" configuration (alpha 0.5). */
+McbpOptions mcbpAggressiveOptions(std::size_t processors = 1);
 McbpAccelerator makeMcbpAggressive(std::size_t processors = 1);
 
 /** The ablation baseline (all techniques off). */
+McbpOptions mcbpBaselineOptions(std::size_t processors = 1);
 McbpAccelerator makeMcbpBaseline(std::size_t processors = 1);
 
 } // namespace mcbp::accel

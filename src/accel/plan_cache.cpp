@@ -1,87 +1,53 @@
 #include "accel/plan_cache.hpp"
 
-#include <utility>
+#include <bit>
+#include <tuple>
 
 namespace mcbp::accel {
 
-namespace {
-
-/**
- * Every Workload field an Accelerator::plan() may read participates in
- * the key (name included: task identity is cheap to keep and guards
- * against future task-conditional costing). The separator cannot occur
- * in zoo names, and the identity goes last so its embedded newlines
- * cannot collide with the structured prefix.
- */
-std::string
-planKey(const std::string &identity, const model::LlmConfig &model,
-        const model::Workload &task)
+PlanCache::Identity
+PlanCache::intern(const std::string &name, const std::string &configSummary)
 {
-    std::string key;
-    key.reserve(identity.size() + task.name.size() + model.name.size() + 64);
-    key += model.name;
-    key += '\x1f';
-    key += task.name;
-    key += '\x1f';
-    key += std::to_string(task.promptLen);
-    key += '\x1f';
-    key += std::to_string(task.decodeLen);
-    key += '\x1f';
-    key += std::to_string(task.batch);
-    key += '\x1f';
-    key += std::to_string(static_cast<int>(task.kind));
-    key += '\x1f';
-    key += std::to_string(task.attentionConcentration);
-    key += '\x1f';
-    key += identity;
-    return key;
+    MutexLock lock(internMutex_);
+    const auto next = static_cast<std::uint32_t>(identities_.size());
+    return Identity{
+        identities_.try_emplace({name, configSummary}, next).first->second};
 }
 
-} // namespace
-
-const RunMetrics &
-PlanCache::metrics(const std::string &identity,
-                   const model::LlmConfig &model,
-                   const model::Workload &task, const Compute &compute)
+PlanCache::Key
+PlanCache::keyOf(Identity identity, const model::LlmConfig &model,
+                 const model::Workload &task)
 {
-    // Find-or-create the key's slot under the map mutex, then run the
-    // (expensive) compute through the slot's once-flag with the mutex
-    // released: lookups of other keys proceed, racers on this key
-    // block on the one in-flight computation, and if compute throws,
-    // call_once lets the next caller retry the key.
-    std::shared_ptr<Slot> slot;
-    {
-        MutexLock lock(mutex_);
-        auto &entry = entries_[planKey(identity, model, task)];
-        if (!entry)
-            entry = std::make_shared<Slot>();
-        slot = entry;
-    }
-    std::call_once(slot->once, [&] {
-        RunMetrics computed = compute();
-        MutexLock lock(mutex_);
-        slot->value = std::move(computed);
-        slot->ready = true;
-        ++computeCalls_;
-    });
-    return slot->value;
+    return {identity.id,
+            model.name,
+            task.name,
+            task.promptLen,
+            task.decodeLen,
+            task.batch,
+            task.kind,
+            std::bit_cast<std::uint64_t>(task.attentionConcentration)};
+}
+
+bool
+PlanCache::Key::operator==(const Key &o) const
+{
+    return std::tie(identity, model, task, promptLen, decodeLen, batch,
+                    kind, concentrationBits) ==
+           std::tie(o.identity, o.model, o.task, o.promptLen, o.decodeLen,
+                    o.batch, o.kind, o.concentrationBits);
 }
 
 std::size_t
-PlanCache::size() const
+PlanCache::KeyHash::operator()(const Key &k) const
 {
-    MutexLock lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &kv : entries_)
-        n += kv.second->ready ? 1 : 0;
-    return n;
-}
-
-std::uint64_t
-PlanCache::computeCalls() const
-{
-    MutexLock lock(mutex_);
-    return computeCalls_;
+    std::size_t h = std::hash<std::uint32_t>{}(k.identity);
+    h = hashMix(h, std::hash<std::string>{}(k.model));
+    h = hashMix(h, std::hash<std::string>{}(k.task));
+    h = hashMix(h, k.promptLen);
+    h = hashMix(h, k.decodeLen);
+    h = hashMix(h, k.batch);
+    h = hashMix(h, static_cast<std::size_t>(k.kind));
+    return hashMix(h, std::hash<std::uint64_t>{}(k.concentrationBits));
 }
 
 std::shared_ptr<PlanCache>

@@ -3,19 +3,23 @@
  * Thread-safe, singleflight cache of measured workload profiles
  * (WeightStats / AttentionStats). Profiling synthesizes tiles and runs
  * the functional BRCR/BSTC/BGPP engines, which is orders of magnitude
- * more expensive than the analytic cycle model consuming the result —
+ * more expensive than the analytic cycle model consuming the result,
  * so every accelerator instance and every serving request should share
  * one cache, and no key may ever be profiled twice.
  *
- * The cache is keyed by everything profiling depends on (model, bit
- * width, alpha, seed, context bucket). Lookups are singleflight: each
- * key owns a once-initialized slot, so N threads racing on a cold key
- * block on the single in-flight computation instead of each paying the
- * full profiling cost, and the map mutex is never held while profiling
- * runs. profileCalls() counts the computations actually executed
+ * Keys are typed and hold everything profiling depends on, compared
+ * field by field, exactly (doubles by bit pattern):
+ *  - weights: {model, bit width, seed};
+ *  - attention: {model, contextBucket(promptLen), attention
+ *    concentration, alpha, seed}.
+ * Both stores are SingleflightMaps (common/singleflight.hpp): N threads
+ * racing on a cold key block on the one in-flight computation instead
+ * of each paying the full profiling cost, no lock is held while
+ * profiling runs, and lookups of keys in different shards never meet
+ * on a lock. profileCalls() counts the computations actually executed
  * (tests assert it stays at 1 per key under contention). Entries are
- * never evicted and live on the heap, so returned references stay
- * valid for the cache's lifetime even while other threads insert.
+ * never evicted, so returned references stay valid for the cache's
+ * lifetime even while other threads insert.
  *
  * warm() precomputes a batch of keys on the global thread pool
  * (common/parallel.hpp): cold-start fleet construction profiles on all
@@ -23,20 +27,32 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "accel/profiles.hpp"
-#include "common/annotations.hpp"
+#include "common/singleflight.hpp"
 #include "model/llm_config.hpp"
 #include "model/workload.hpp"
 #include "quant/quantizer.hpp"
 
 namespace mcbp::accel {
+
+/**
+ * The context an attention profile of a @p promptLen-token prompt is
+ * measured at: min(2048, max(64, promptLen)) rounded up to a power of
+ * two. profileAttention() depends on a workload only through its
+ * clamped context and attention concentration, so the cache keys on
+ * this bucket, not the task name, and profiles the bucket's canonical
+ * context. Serving traces with jittered per-request lengths then share
+ * a handful of deterministic entries (the zoo tasks' nominal lengths
+ * are already powers of two, so figure benches see the stats of their
+ * exact lengths).
+ */
+std::size_t contextBucket(std::size_t promptLen);
 
 /**
  * One profiling need an accelerator announces for (model, task), fed
@@ -91,23 +107,41 @@ class ProfileCache
     std::uint64_t profileCalls() const;
 
   private:
-    /**
-     * Singleflight slot: the first thread through the once-flag runs
-     * the profiling; racers block inside call_once until the value is
-     * ready. Heap-allocated and owned by shared_ptr so the map mutex
-     * can drop before profiling starts without invalidating the slot.
-     */
-    template <typename Stats> struct Slot
+    // Key building and comparison live in profile_cache.cpp, as for
+    // PlanCache::Key: consumers may compile this header before C++20.
+    struct WeightKey
     {
-        std::once_flag once;
-        Stats value;
-        bool ready = false; ///< Written once under the once-flag.
+        std::string model;
+        quant::BitWidth bitWidth{};
+        std::uint64_t seed = 0;
+
+        bool operator==(const WeightKey &other) const;
+        bool operator<(const WeightKey &other) const;
     };
 
-    template <typename Stats, typename Compute>
-    const Stats &lookup(std::map<std::string,
-                                 std::shared_ptr<Slot<Stats>>> &map,
-                        const std::string &key, const Compute &compute);
+    struct AttentionKey
+    {
+        std::string model;
+        std::size_t context = 0; ///< contextBucket(promptLen).
+        std::uint64_t concentrationBits = 0;
+        std::uint64_t alphaBits = 0;
+        std::uint64_t seed = 0;
+
+        bool operator==(const AttentionKey &other) const;
+        bool operator<(const AttentionKey &other) const;
+    };
+
+    struct KeyHash
+    {
+        std::size_t operator()(const WeightKey &k) const;
+        std::size_t operator()(const AttentionKey &k) const;
+    };
+
+    static WeightKey weightKey(const model::LlmConfig &model,
+                               quant::BitWidth bw, std::uint64_t seed);
+    static AttentionKey attentionKey(const model::LlmConfig &model,
+                                     const model::Workload &task,
+                                     double alpha, std::uint64_t seed);
 
     /** attention() with an explicit cap for profileAttention's own
      *  per-query fan-out (threads=1 keeps warm(…, 1) fully serial). */
@@ -116,12 +150,8 @@ class ProfileCache
                                       double alpha, std::uint64_t seed,
                                       std::size_t threads);
 
-    mutable Mutex mutex_;
-    std::map<std::string, std::shared_ptr<Slot<WeightStats>>> weights_
-        MCBP_GUARDED_BY(mutex_);
-    std::map<std::string, std::shared_ptr<Slot<AttentionStats>>>
-        attention_ MCBP_GUARDED_BY(mutex_);
-    std::uint64_t profileCalls_ MCBP_GUARDED_BY(mutex_) = 0;
+    SingleflightMap<WeightKey, WeightStats, KeyHash> weights_;
+    SingleflightMap<AttentionKey, AttentionStats, KeyHash> attention_;
 };
 
 /** A fresh cache wrapped for sharing across accelerator instances. */

@@ -3,8 +3,9 @@
  * Clang thread-safety annotations and the annotated lock primitives
  * the analysis needs to see.
  *
- * Every mutex-protected structure in the tree (ProfileCache,
- * PlanCache, the common/parallel pool, KvBlockManager) declares WHICH
+ * Every mutex-protected structure in the tree (the SingleflightMap
+ * shards behind ProfileCache and PlanCache, the common/parallel pool,
+ * KvBlockManager) declares WHICH
  * data each lock guards via these macros, and the clang CI lane
  * compiles with `-Wthread-safety -Werror` so an unguarded access is a
  * build break, not a latent race. Under gcc (and any compiler without

@@ -404,14 +404,15 @@ Registry::make(const std::string &spec) const
     if (p.name == "mcbp" || p.name == "mcbp-standard" ||
         p.name == "mcbp-s" || p.name == "mcbp-aggressive" ||
         p.name == "mcbp-a" || p.name == "mcbp-baseline") {
-        // Start from the canonical factory presets so the registry can
-        // never drift from makeMcbp{Standard,Aggressive,Baseline}().
+        // Start from the canonical presets so the registry can never
+        // drift from makeMcbp{Standard,Aggressive,Baseline}(). Options
+        // only: a preset accelerator would build a private profile
+        // cache just to be thrown away.
         accel::McbpOptions o =
-            (p.name == "mcbp-aggressive" || p.name == "mcbp-a"
-                 ? accel::makeMcbpAggressive()
-             : p.name == "mcbp-baseline" ? accel::makeMcbpBaseline()
-                                         : accel::makeMcbpStandard())
-                .options();
+            p.name == "mcbp-aggressive" || p.name == "mcbp-a"
+                ? accel::mcbpAggressiveOptions()
+            : p.name == "mcbp-baseline" ? accel::mcbpBaselineOptions()
+                                        : accel::mcbpStandardOptions();
         o.alpha = takeDouble("alpha", o.alpha);
         o.seed = takeCount("seed", static_cast<std::size_t>(o.seed));
         o.processors = takeCount("procs", o.processors);

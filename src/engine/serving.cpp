@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -33,35 +35,46 @@ weightEnergyFraction(const accel::PhaseMetrics &decode)
     return std::clamp(frac, 0.0, 1.0);
 }
 
-/** A request's workload-shape key, for deduplicating warm-up entries
- *  (the profile cache re-keys on its own dependencies afterwards). */
-std::string
-shapeKey(const model::Request &req)
+/**
+ * Announce to @p accel's profile cache the profiles it needs for
+ * @p trace, and warm them on up to @p threads threads. A request's
+ * profiles depend on it only through its model, task and context
+ * bucket (see accel::contextBucket), so one request per such shape is
+ * announced: a million-request trace with jittered lengths announces a
+ * handful of entries. A shape missed here is still profiled on demand,
+ * with the same bits.
+ */
+void
+warmProfiles(const Accelerator &accel,
+             const std::vector<model::Request> &trace, std::size_t threads)
 {
-    std::string key;
-    key.reserve(req.model.size() + req.task.size() + 16);
-    key += req.model;
-    key += '\x1f';
-    key += req.task;
-    key += '\x1f';
-    key += std::to_string(req.promptLen);
-    key += '\x1f';
-    key += std::to_string(req.decodeLen);
-    return key;
+    const std::shared_ptr<accel::ProfileCache> cache = accel.profileCache();
+    if (!cache)
+        return;
+    std::set<std::tuple<std::string_view, std::string_view, std::size_t>>
+        shapes;
+    std::vector<accel::ProfileRequest> requests;
+    for (const model::Request &req : trace)
+        if (shapes.emplace(req.model, req.task,
+                           accel::contextBucket(req.promptLen))
+                .second)
+            accel.profileRequests(model::findModel(req.model),
+                                  req.workload(), requests);
+    cache->warm(requests, threads);
 }
 
 } // namespace
 
 ServingSimulator::ServingSimulator(const Accelerator &accel,
                                    ServingOptions opts)
-    : accel_(&accel), opts_(opts),
-      planIdentity_(accel.name() + "\n" + accel.configSummary()),
-      planCache_(accel::makePlanCache())
+    : accel_(&accel), opts_(opts), planCache_(accel::makePlanCache()),
+      planIdentity_(planCache_->intern(accel.name(), accel.configSummary()))
 {
     // Option bounds are enforced by EventCore, which owns them.
     if (opts_.degradedAccel != nullptr)
-        degradedIdentity_ = opts_.degradedAccel->name() + "\n" +
-                            opts_.degradedAccel->configSummary();
+        degradedIdentity_ =
+            planCache_->intern(opts_.degradedAccel->name(),
+                               opts_.degradedAccel->configSummary());
 }
 
 KvOptions
@@ -84,38 +97,16 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
 
     // ---- Warm the profile cache on all cores ----------------------------
     // Without this, a cold cache would profile its first-touch keys on
-    // whichever costing thread hits them first. Announcing every
-    // distinct request shape up front lets the cache fan the distinct
-    // keys out over the thread pool (racing engines singleflight),
-    // leaving only cache hits in the costing fan-out below. Shapes are
-    // deduplicated here so a million-request trace announces a few
-    // hundred entries, not a million redundant ones.
-    if (const std::shared_ptr<accel::ProfileCache> cache =
-            accel_->profileCache()) {
-        std::vector<accel::ProfileRequest> requests;
-        std::set<std::string> shapes;
-        for (const model::Request &req : trace)
-            if (shapes.insert(shapeKey(req)).second)
-                accel_->profileRequests(model::findModel(req.model),
-                                        req.workload(), requests);
-        cache->warm(requests, opts_.profileThreads);
-    }
-
-    // The degraded topology is only priced when faults can actually
-    // put the fleet on it.
+    // whichever costing thread hits them first. Announcing the trace's
+    // profiling shapes up front lets the cache fan the distinct keys out
+    // over the thread pool (racing engines singleflight), leaving only
+    // cache hits in the costing fan-out below. The degraded topology is
+    // only priced when faults can actually put the fleet on it.
+    warmProfiles(*accel_, trace, opts_.profileThreads);
     const bool faulty = opts_.faults.enabled();
     const Accelerator *deg = faulty ? opts_.degradedAccel : nullptr;
     if (deg != nullptr)
-        if (const std::shared_ptr<accel::ProfileCache> cache =
-                deg->profileCache()) {
-            std::vector<accel::ProfileRequest> requests;
-            std::set<std::string> shapes;
-            for (const model::Request &req : trace)
-                if (shapes.insert(shapeKey(req)).second)
-                    deg->profileRequests(model::findModel(req.model),
-                                         req.workload(), requests);
-            cache->warm(requests, opts_.profileThreads);
-        }
+        warmProfiles(*deg, trace, opts_.profileThreads);
 
     const KvOptions kv = kvOptions();
     // Pipeline stage count for the decode iteration's stage-aware
@@ -218,7 +209,7 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             }
             if (deg != nullptr) {
                 // Price the degraded-topology twin through the same
-                // plan cache under its own identity prefix, splitting
+                // plan cache under its own identity, splitting
                 // the streams exactly as above so degraded decode
                 // windows compose the same way healthy ones do.
                 const accel::RunMetrics &rmd = planCache_->metrics(

@@ -380,13 +380,13 @@ class ServingSimulator
 
     const Accelerator *accel_;
     ServingOptions opts_;
-    /** name + configSummary: every knob that changes pricing, the
-     *  plan-cache key prefix. */
-    std::string planIdentity_;
-    /** Same, for the degraded accelerator (empty when none): both
-     *  topologies share planCache_ under distinct key prefixes. */
-    std::string degradedIdentity_;
     std::shared_ptr<accel::PlanCache> planCache_;
+    /** The accelerator's name + configSummary (every knob that changes
+     *  pricing), interned once: the plan-cache key's identity. */
+    accel::PlanCache::Identity planIdentity_;
+    /** Same, for the degraded accelerator (unset when none): both
+     *  topologies share planCache_ under distinct identities. */
+    accel::PlanCache::Identity degradedIdentity_;
 };
 
 } // namespace mcbp::engine

@@ -146,28 +146,18 @@ TEST(Registry, FleetSharesOneProfileCache)
     EXPECT_EQ(registry.profileCache()->size(), 2u);
 }
 
-TEST(Registry, ColdKeySingleflight)
+TEST(Registry, NearbyAlphasDoNotShareAProfile)
 {
-    // 8 threads racing on one cold key must trigger exactly one
-    // profiling computation (the singleflight contract): racers block
-    // on the in-flight slot instead of redoing the work, and all see
-    // the same cached object.
-    accel::ProfileCache cache;
-    const model::LlmConfig &m = opt1b3();
-    constexpr std::size_t kThreads = 8;
-    std::vector<std::thread> threads;
-    std::vector<const accel::WeightStats *> seen(kThreads, nullptr);
-    for (std::size_t i = 0; i < kThreads; ++i) {
-        threads.emplace_back([&, i] {
-            seen[i] = &cache.weights(m, quant::BitWidth::Int8, 1);
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(cache.profileCalls(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-    for (std::size_t i = 1; i < kThreads; ++i)
-        EXPECT_EQ(seen[i], seen[0]); // one entry, stable reference.
+    // Profile keys compare alpha exactly: two designs whose alphas
+    // differ below the sixth decimal share the weight profile but
+    // each get their own attention profile.
+    const model::Workload &task = model::findTask("Cola");
+    Registry registry;
+    auto fleet = registry.fleet({"mcbp:alpha=0.6", "mcbp:alpha=0.6000001"});
+    for (const auto &accel : fleet)
+        (void)accel->run(opt1b3(), task);
+    EXPECT_EQ(registry.profileCache()->profileCalls(), 3u);
+    EXPECT_EQ(registry.profileCache()->size(), 3u);
 }
 
 TEST(Registry, WarmFleetProfilesEachKeyOnce)

@@ -1,10 +1,10 @@
 /**
  * @file
- * PlanCache invariants (the costing fast path's correctness contract):
- *  - singleflight: threads racing on a cold key run its compute
- *    exactly once and all read the same bits;
- *  - keying: identity, model and workload shape all separate entries —
- *    two accelerators (or two shapes) can never alias a cost;
+ * PlanCache invariants (the costing fast path's correctness contract;
+ * the singleflight store itself is tested in test_singleflight.cpp):
+ *  - keying: the interned identity, the model and every workload
+ *    shape field separate entries, exactly — two accelerators (or two
+ *    shapes) can never alias a cost;
  *  - the serving costing fan-out is bit-identical at every thread
  *    count (index-ordered join over cached metrics);
  *  - a second simulate() on the same simulator recomputes nothing
@@ -12,8 +12,7 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <cmath>
 #include <vector>
 
 #include "accel/plan_cache.hpp"
@@ -34,77 +33,58 @@ metric(double cycles)
     return rm;
 }
 
-TEST(PlanCache, SingleflightComputesOncePerKey)
-{
-    PlanCache cache;
-    const model::LlmConfig &m = model::findModel("OPT1B3");
-    constexpr std::size_t kKeys = 4;
-    constexpr std::size_t kThreads = 8;
-
-    std::atomic<std::size_t> executed{0};
-    std::vector<std::thread> threads;
-    std::vector<std::vector<double>> seen(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (std::size_t k = 0; k < kKeys; ++k) {
-                model::Workload w = model::findTask("Dolly");
-                w.promptLen = 100 + k; // distinct shape per key.
-                const RunMetrics &rm =
-                    cache.metrics("accel-A", m, w, [&, k] {
-                        ++executed;
-                        return metric(static_cast<double>(k));
-                    });
-                seen[t].push_back(rm.prefill.cycles);
-            }
-        });
-    }
-    for (std::thread &th : threads)
-        th.join();
-
-    // One compute per distinct key, no matter how many threads raced.
-    EXPECT_EQ(executed.load(), kKeys);
-    EXPECT_EQ(cache.computeCalls(), kKeys);
-    EXPECT_EQ(cache.size(), kKeys);
-    for (const auto &row : seen) {
-        ASSERT_EQ(row.size(), kKeys);
-        for (std::size_t k = 0; k < kKeys; ++k)
-            EXPECT_EQ(row[k], static_cast<double>(k));
-    }
-}
-
 TEST(PlanCache, KeySeparatesIdentityModelAndShape)
 {
     PlanCache cache;
+    const PlanCache::Identity a = cache.intern("mcbp", "config A");
+    // Equal name, different configSummary: a distinct identity.
+    const PlanCache::Identity b = cache.intern("mcbp", "config B");
+    const PlanCache::Identity c = cache.intern("bitwave", "config A");
+    EXPECT_EQ(cache.intern("mcbp", "config A").id, a.id);
+    EXPECT_NE(a.id, b.id);
+    EXPECT_NE(a.id, c.id);
+    EXPECT_NE(b.id, c.id);
+
     const model::LlmConfig &opt = model::findModel("OPT1B3");
     const model::LlmConfig &llama = model::findModel("Llama7B");
     const model::Workload base = model::findTask("Dolly");
 
-    auto compute_of = [](double v) {
-        return [v] { return metric(v); };
+    double next = 0.0;
+    auto cycles = [&](PlanCache::Identity id, const model::LlmConfig &m,
+                      const model::Workload &w) {
+        next += 1.0;
+        return cache.metrics(id, m, w, [v = next] { return metric(v); })
+            .prefill.cycles;
     };
-    EXPECT_EQ(cache.metrics("A", opt, base, compute_of(1)).prefill.cycles,
-              1.0);
-    // Same key -> cached, the second compute never runs.
-    EXPECT_EQ(cache.metrics("A", opt, base, compute_of(99)).prefill.cycles,
-              1.0);
-    // Identity, model and each shape component separate entries.
-    EXPECT_EQ(cache.metrics("B", opt, base, compute_of(2)).prefill.cycles,
-              2.0);
-    EXPECT_EQ(
-        cache.metrics("A", llama, base, compute_of(3)).prefill.cycles,
-        3.0);
-    model::Workload longer = base;
-    longer.promptLen += 1;
-    EXPECT_EQ(
-        cache.metrics("A", opt, longer, compute_of(4)).prefill.cycles,
-        4.0);
-    model::Workload prefillOnly = base;
-    prefillOnly.decodeLen = 0;
-    EXPECT_EQ(
-        cache.metrics("A", opt, prefillOnly, compute_of(5)).prefill.cycles,
-        5.0);
-    EXPECT_EQ(cache.computeCalls(), 5u);
-    EXPECT_EQ(cache.size(), 5u);
+    EXPECT_EQ(cycles(a, opt, base), 1.0);
+    // Same key -> cached: the second compute (value 2) never runs.
+    EXPECT_EQ(cycles(a, opt, base), 1.0);
+    // Identity, model and every shape field separate entries.
+    EXPECT_EQ(cycles(b, opt, base), 3.0);
+    EXPECT_EQ(cycles(c, opt, base), 4.0);
+    EXPECT_EQ(cycles(a, llama, base), 5.0);
+    model::Workload w = base;
+    w.promptLen += 1;
+    EXPECT_EQ(cycles(a, opt, w), 6.0);
+    w = base;
+    w.decodeLen = 0;
+    EXPECT_EQ(cycles(a, opt, w), 7.0);
+    w = base;
+    w.batch += 1;
+    EXPECT_EQ(cycles(a, opt, w), 8.0);
+    w = base;
+    w.kind = model::TaskKind::Generation;
+    EXPECT_EQ(cycles(a, opt, w), 9.0);
+    w = base;
+    // The adjacent double: concentrations compare exactly.
+    w.attentionConcentration =
+        std::nextafter(base.attentionConcentration, 1.0);
+    EXPECT_EQ(cycles(a, opt, w), 10.0);
+    w = base;
+    w.name = "Dolly-copy";
+    EXPECT_EQ(cycles(a, opt, w), 11.0);
+    EXPECT_EQ(cache.computeCalls(), 10u);
+    EXPECT_EQ(cache.size(), 10u);
 }
 
 std::vector<model::Request>
