@@ -6,11 +6,14 @@
  *
  * Three sections:
  *  1. Cold fleet warm-up — a registry fleet's full profile working set
- *     ((model, bw) weight keys + (model, ctx-bucket, alpha) attention
- *     keys), filled serially vs fanned out over the thread pool via
- *     Registry::warmFleet. On a 1-core host the two are equal by
- *     construction; on 4+ cores the fan-out targets >= 3x. Either way
- *     the resulting stats are verified bit-identical here.
+ *     ((hidden, range, bw) weight keys + (head dim, ctx-bucket,
+ *     concentration, alpha) attention keys, the alphas of one attention
+ *     set batched into one job), filled serially vs fanned out over the
+ *     thread pool via Registry::warmFleet. On a 1-core host the two are
+ *     equal by construction; on 4+ cores the fan-out targets >= 3x.
+ *     Either way the resulting stats are verified bit-identical here,
+ *     and each fleet must have computed every key exactly once
+ *     (profileCalls() == size()), or the run fails.
  *  2. factorizeGroup — the original unordered_map pattern dedup
  *     (bench/reference_kernels.hpp) vs the direct-index GroupScratch
  *     fast path.
@@ -30,6 +33,7 @@
 #include <chrono>
 #include <functional>
 #include <iostream>
+#include <tuple>
 
 #include "bench_util.hpp"
 #include "reference_kernels.hpp"
@@ -151,12 +155,21 @@ main(int argc, char **argv)
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 1.0;
     const bool identical =
         fleetsBitIdentical(serial_fleet, parallel_fleet);
-    std::printf("  serial    %8.3f s  (%zu profiles)\n", serial_s,
-                serial_registry.profileCache()->size());
-    std::printf("  parallel  %8.3f s  (%zu profiles)\n", parallel_s,
-                parallel_registry.profileCache()->size());
-    std::printf("  speedup   %8.2fx   bit-identical: %s\n", speedup,
-                identical ? "yes" : "NO (BUG)");
+    // A key computed twice (or a throw) makes calls exceed entries.
+    bool computedOnce = true;
+    for (const auto &[label, registry, wall] :
+         {std::tuple{"serial  ", &serial_registry, serial_s},
+          std::tuple{"parallel", &parallel_registry, parallel_s}}) {
+        const accel::ProfileCache &cache = *registry->profileCache();
+        computedOnce = computedOnce && cache.profileCalls() == cache.size();
+        std::printf("  %s  %8.3f s  (%zu entries, %llu profile calls)\n",
+                    label, wall, cache.size(),
+                    static_cast<unsigned long long>(cache.profileCalls()));
+    }
+    std::printf("  speedup   %8.2fx   bit-identical: %s   each key once: "
+                "%s\n",
+                speedup, identical ? "yes" : "NO (BUG)",
+                computedOnce ? "yes" : "NO (BUG)");
     json.begin()
         .field("section", "cold_fleet_warmup")
         .field("threads", parallel::hardwareThreads())
@@ -165,7 +178,8 @@ main(int argc, char **argv)
         .field("speedup", speedup)
         .field("profiles",
                parallel_registry.profileCache()->size())
-        .field("bit_identical", identical ? 1 : 0);
+        .field("bit_identical", identical ? 1 : 0)
+        .field("computed_once", computedOnce ? 1 : 0);
 
     // ---- Kernel rewrites (single-thread wins) ---------------------------
     bench::banner("factorizeGroup: unordered_map vs direct-index scratch");
@@ -328,7 +342,7 @@ main(int argc, char **argv)
         .field("gate_enforced", vector_tier ? 1 : 0);
 
     json.writeIfRequested(argc, argv);
-    return identical && distinct_ref == distinct_fast &&
+    return identical && computedOnce && distinct_ref == distinct_fast &&
                    scalar_adds == word_adds && simd_gate
                ? 0
                : 1;

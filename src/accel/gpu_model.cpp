@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "accel/profile_cache.hpp"
 #include "common/logging.hpp"
 
 namespace mcbp::accel {
@@ -170,9 +171,9 @@ RunMetrics
 GpuA100Model::run(const model::LlmConfig &model,
                   const model::Workload &task) const
 {
-    WeightStats ws = profileWeights(model, quant::BitWidth::Int8, 1);
-    AttentionStats as = profileAttention(model, task, 0.6, 1);
-    return run(model, task, ws, as);
+    const std::shared_ptr<ProfileCache> profiles = sharedProfileCache();
+    return run(model, task, profiles->weights(model, quant::BitWidth::Int8, 1),
+               profiles->attention(model, task, 0.6, 1));
 }
 
 ExecutionPlan

@@ -65,7 +65,9 @@ class GpuA100Model
                    const model::Workload &task,
                    const WeightStats &ws, const AttentionStats &as) const;
 
-    /** Convenience overload that profiles internally (alpha 0.6). */
+    /** Convenience overload that profiles (alpha 0.6, seed 1) through
+     *  the process-wide sharedProfileCache(), which measures the task
+     *  at its contextBucket(). */
     RunMetrics run(const model::LlmConfig &model,
                    const model::Workload &task) const;
 

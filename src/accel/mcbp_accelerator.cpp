@@ -24,7 +24,7 @@ McbpAccelerator::McbpAccelerator(sim::McbpConfig hw, McbpOptions opts,
 {
     fatalIf(opts_.processors == 0, "processor count must be positive");
     if (!profiles_)
-        profiles_ = makeProfileCache();
+        profiles_ = sharedProfileCache();
 }
 
 std::string

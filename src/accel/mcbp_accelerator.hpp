@@ -44,9 +44,10 @@ class McbpAccelerator
 {
   public:
     /**
-     * @param profiles shared profile cache; nullptr allocates a private
-     * one. Copies of this accelerator share the same (thread-safe)
-     * cache, as do all accelerators built by one engine::Registry.
+     * @param profiles shared profile cache; nullptr uses the
+     * process-wide sharedProfileCache(). Copies of this accelerator
+     * share the same (thread-safe) cache, as do all accelerators built
+     * by one engine::Registry.
      */
     explicit McbpAccelerator(
         sim::McbpConfig hw = sim::defaultConfig(), McbpOptions opts = {},

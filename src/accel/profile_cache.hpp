@@ -7,11 +7,15 @@
  * so every accelerator instance and every serving request should share
  * one cache, and no key may ever be profiled twice.
  *
- * Keys are typed and hold everything profiling depends on, compared
- * field by field, exactly (doubles by bit pattern):
- *  - weights: {model, bit width, seed};
- *  - attention: {model, contextBucket(promptLen), attention
- *    concentration, alpha, seed}.
+ * Keys are typed and hold exactly the fields profiling reads (see
+ * profileWeights/profileAttention), compared field by field, exactly
+ * (doubles by bit pattern), with no model name:
+ *  - weights: {hidden, dynamic range, bit width, seed};
+ *  - attention: {head dim, contextBucket(promptLen), attention
+ *    concentration, seed, alpha}.
+ * Models that agree on those fields share one entry: the zoo's four
+ * head-dim-128 models share their attention profiles, and OPT1B3 and
+ * Bloom1B7 (hidden 2048, range 14) their weight profile.
  * Both stores are SingleflightMaps (common/singleflight.hpp): N threads
  * racing on a cold key block on the one in-flight computation instead
  * of each paying the full profiling cost, no lock is held while
@@ -24,13 +28,17 @@
  * warm() precomputes a batch of keys on the global thread pool
  * (common/parallel.hpp): cold-start fleet construction profiles on all
  * cores instead of serially on the first run() that needs each key.
+ * Attention keys that differ only in alpha form one job that
+ * synthesizes their attention sets once and evaluates every alpha on
+ * them (the prepare-once/use-many split), and keys already ready are
+ * skipped without a job, so re-warming a warm cache costs one probe per
+ * key.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "accel/profiles.hpp"
@@ -89,9 +97,12 @@ class ProfileCache
     /**
      * Precompute every distinct key named by @p requests, fanning the
      * cold ones out over the thread pool (@p threads as in
-     * parallel::parallelFor: 0 = full pool, 1 = serial). Stats are
-     * bit-identical to demand-filling the same keys serially, because
-     * each key's computation is self-contained and deterministic.
+     * parallel::parallelFor: 0 = full pool, 1 = serial), one job per
+     * weight key and one per group of attention keys that differ only
+     * in alpha. Stats are bit-identical to demand-filling the same keys
+     * serially, because each key's computation is self-contained and
+     * deterministic, and a group's batched profileAttention() gives
+     * every alpha the bits of its single-alpha call.
      */
     void warm(const std::vector<ProfileRequest> &requests,
               std::size_t threads = 0);
@@ -111,7 +122,8 @@ class ProfileCache
     // PlanCache::Key: consumers may compile this header before C++20.
     struct WeightKey
     {
-        std::string model;
+        std::size_t hidden = 0;
+        std::uint64_t dynamicRangeBits = 0;
         quant::BitWidth bitWidth{};
         std::uint64_t seed = 0;
 
@@ -119,16 +131,20 @@ class ProfileCache
         bool operator<(const WeightKey &other) const;
     };
 
+    /** Alpha is the last field, so in key order the keys of one
+     *  attention set (all fields but alpha equal) are adjacent. */
     struct AttentionKey
     {
-        std::string model;
+        std::size_t headDim = 0;
         std::size_t context = 0; ///< contextBucket(promptLen).
         std::uint64_t concentrationBits = 0;
-        std::uint64_t alphaBits = 0;
         std::uint64_t seed = 0;
+        std::uint64_t alphaBits = 0;
 
         bool operator==(const AttentionKey &other) const;
         bool operator<(const AttentionKey &other) const;
+        /** Equal in every field but alpha: one synthesized set. */
+        bool sameSet(const AttentionKey &other) const;
     };
 
     struct KeyHash
@@ -150,11 +166,25 @@ class ProfileCache
                                       double alpha, std::uint64_t seed,
                                       std::size_t threads);
 
+    /** Profile the keys of one attention set (@p keys, all sameSet,
+     *  named by @p request) in one batched profileAttention() call. */
+    void attentionSet(const ProfileRequest &request,
+                      const std::vector<AttentionKey> &keys,
+                      std::size_t threads);
+
     SingleflightMap<WeightKey, WeightStats, KeyHash> weights_;
     SingleflightMap<AttentionKey, AttentionStats, KeyHash> attention_;
 };
 
 /** A fresh cache wrapped for sharing across accelerator instances. */
 std::shared_ptr<ProfileCache> makeProfileCache();
+
+/**
+ * The process-wide cache: what an McbpAccelerator built without a cache
+ * and GpuA100Model::run(model, task) profile through, so figure benches
+ * and examples pay each key once per process. An engine::Registry keeps
+ * a fresh cache of its own instead.
+ */
+std::shared_ptr<ProfileCache> sharedProfileCache();
 
 } // namespace mcbp::accel

@@ -88,12 +88,42 @@ struct QuerySample
     double topkFrac = 0.0;
 };
 
+/** BGPP and the matched-budget top-k baselines on one set at @p alpha. */
+QuerySample
+sampleQuery(const model::AttentionSet &set, double alpha)
+{
+    const std::size_t s = set.keys.rows();
+    bgpp::BgppConfig cfg;
+    cfg.alpha = alpha;
+    cfg.logitScale = set.logitScale;
+    bgpp::BgppPredictor predictor(cfg);
+    bgpp::BgppResult res = predictor.predict(set.query, set.keys);
+
+    QuerySample q;
+    const double elems = static_cast<double>(s) * set.keys.cols();
+    q.sel = static_cast<double>(res.selected.size()) /
+            static_cast<double>(s);
+    q.predBits = static_cast<double>(res.bitsFetched) / elems;
+    q.macs = static_cast<double>(res.macs) / elems;
+
+    // Match the top-k budget to what BGPP kept, so the traffic
+    // comparison (Fig 5g) is at equal selectivity.
+    const std::size_t k = std::max<std::size_t>(1, res.selected.size());
+    bgpp::TopkResult truth = bgpp::exactTopk(set.query, set.keys, k);
+    bgpp::TopkResult value = bgpp::valueTopk(set.query, set.keys, k);
+    q.recallBgpp = bgpp::recall(res.selected, truth.selected);
+    q.recallTopk = bgpp::recall(value.selected, truth.selected);
+    q.topkFrac = static_cast<double>(k) / static_cast<double>(s);
+    return q;
+}
+
 } // namespace
 
-AttentionStats
+std::vector<AttentionStats>
 profileAttention(const model::LlmConfig &model, const model::Workload &task,
-                 double alpha, std::uint64_t seed, std::size_t max_context,
-                 std::size_t queries, std::size_t threads)
+                 const std::vector<double> &alphas, std::uint64_t seed,
+                 std::size_t max_context, std::size_t queries,
+                 std::size_t threads)
 {
     const std::size_t s =
         std::min<std::size_t>(max_context,
@@ -104,69 +134,62 @@ profileAttention(const model::LlmConfig &model, const model::Workload &task,
     // work is self-contained: the fan-out below produces the same
     // samples at every thread count, and joining them in index order
     // keeps the floating-point reduction order fixed — parallel output
-    // is bit-identical to the serial path.
-    const std::vector<QuerySample> samples =
-        parallel::parallelMap<QuerySample>(
+    // is bit-identical to the serial path. The set is the only input
+    // the alphas share, so it is synthesized once per query and dies
+    // with the lambda, before the next query's.
+    const std::vector<std::vector<QuerySample>> samples =
+        parallel::parallelMap<std::vector<QuerySample>>(
             queries,
             [&](std::size_t qi) {
                 Rng rng(seed ^ 0xa77e4710ull ^
                         (static_cast<std::uint64_t>(qi) *
                          0x9e3779b97f4a7c15ull));
-                model::AttentionSet set = model::synthesizeAttention(
+                const model::AttentionSet set = model::synthesizeAttention(
                     rng, s, d, task.attentionConcentration);
-
-                bgpp::BgppConfig cfg;
-                cfg.alpha = alpha;
-                cfg.logitScale = set.logitScale;
-                bgpp::BgppPredictor predictor(cfg);
-                bgpp::BgppResult res =
-                    predictor.predict(set.query, set.keys);
-
-                QuerySample q;
-                const double elems = static_cast<double>(s) * d;
-                q.sel = static_cast<double>(res.selected.size()) /
-                        static_cast<double>(s);
-                q.predBits = static_cast<double>(res.bitsFetched) / elems;
-                q.macs = static_cast<double>(res.macs) / elems;
-
-                // Match the top-k budget to what BGPP kept, so the
-                // traffic comparison (Fig 5g) is at equal selectivity.
-                const std::size_t k =
-                    std::max<std::size_t>(1, res.selected.size());
-                bgpp::TopkResult truth =
-                    bgpp::exactTopk(set.query, set.keys, k);
-                bgpp::TopkResult value =
-                    bgpp::valueTopk(set.query, set.keys, k);
-                q.recallBgpp = bgpp::recall(res.selected, truth.selected);
-                q.recallTopk =
-                    bgpp::recall(value.selected, truth.selected);
-                q.topkFrac =
-                    static_cast<double>(k) / static_cast<double>(s);
-                return q;
+                std::vector<QuerySample> perAlpha;
+                perAlpha.reserve(alphas.size());
+                for (double alpha : alphas)
+                    perAlpha.push_back(sampleQuery(set, alpha));
+                return perAlpha;
             },
             threads);
 
-    double sel = 0.0, pred_bits = 0.0, macs = 0.0;
-    double recall_bgpp = 0.0, recall_topk = 0.0, topk_frac = 0.0;
-    for (const QuerySample &q : samples) {
-        sel += q.sel;
-        pred_bits += q.predBits;
-        macs += q.macs;
-        recall_bgpp += q.recallBgpp;
-        recall_topk += q.recallTopk;
-        topk_frac += q.topkFrac;
-    }
-
-    AttentionStats stats;
+    std::vector<AttentionStats> out;
+    out.reserve(alphas.size());
     const double n = static_cast<double>(queries);
-    stats.bgppSelectedFraction = sel / n;
-    stats.topkFraction = topk_frac / n;
-    stats.bgppPredBitsPerElem = pred_bits / n;
-    stats.bgppBitMacsPerElem = macs / n;
-    stats.bgppRecall = recall_bgpp / n;
-    stats.valueTopkRecall = recall_topk / n;
-    stats.valuePredBitsPerElem = 5.0; // 4-bit magnitude + sign.
-    return stats;
+    for (std::size_t a = 0; a < alphas.size(); ++a) {
+        double sel = 0.0, pred_bits = 0.0, macs = 0.0;
+        double recall_bgpp = 0.0, recall_topk = 0.0, topk_frac = 0.0;
+        for (const std::vector<QuerySample> &query : samples) {
+            const QuerySample &q = query[a];
+            sel += q.sel;
+            pred_bits += q.predBits;
+            macs += q.macs;
+            recall_bgpp += q.recallBgpp;
+            recall_topk += q.recallTopk;
+            topk_frac += q.topkFrac;
+        }
+
+        AttentionStats &stats = out.emplace_back();
+        stats.bgppSelectedFraction = sel / n;
+        stats.topkFraction = topk_frac / n;
+        stats.bgppPredBitsPerElem = pred_bits / n;
+        stats.bgppBitMacsPerElem = macs / n;
+        stats.bgppRecall = recall_bgpp / n;
+        stats.valueTopkRecall = recall_topk / n;
+        stats.valuePredBitsPerElem = 5.0; // 4-bit magnitude + sign.
+    }
+    return out;
+}
+
+AttentionStats
+profileAttention(const model::LlmConfig &model, const model::Workload &task,
+                 double alpha, std::uint64_t seed, std::size_t max_context,
+                 std::size_t queries, std::size_t threads)
+{
+    return profileAttention(model, task, std::vector<double>{alpha}, seed,
+                            max_context, queries, threads)
+        .front();
 }
 
 } // namespace mcbp::accel

@@ -68,6 +68,10 @@ struct AttentionStats
  * model's dynamic range, runs the BRCR engine and BSTC compressor on it
  * and extracts per-MAC statistics.
  *
+ * Of the model it reads exactly `hidden` (the tile's columns) and
+ * `dynamicRange`; ProfileCache's weight key holds exactly these (plus
+ * @p bw and @p seed), so a new input here must be added to that key.
+ *
  * @param sample_rows rows of the sample tile (columns = model hidden).
  */
 WeightStats profileWeights(const model::LlmConfig &model,
@@ -75,22 +79,41 @@ WeightStats profileWeights(const model::LlmConfig &model,
                            std::size_t sample_rows = 128);
 
 /**
- * Profile attention of (@p task, @p model): synthesizes attention sets at
- * the task's concentration and a capped context length, runs BGPP and the
- * value-level baseline and extracts traffic/selection statistics.
+ * Profile attention of (@p task, @p model) at every BGPP alpha_r in
+ * @p alphas: synthesizes attention sets at the task's concentration and
+ * a capped context length, runs BGPP and the value-level baseline and
+ * extracts traffic/selection statistics. Returns one AttentionStats
+ * per alpha, in the order given.
  *
- * Each query's RNG derives from (seed, query index), and per-query
- * results are reduced in index order — so the statistics are
- * bit-identical at every thread count (tests/test_profiles.cpp asserts
- * parallel == serial exactly).
+ * Each query's set is synthesized once and evaluated at every alpha
+ * (synthesis is most of the cost and does not depend on alpha), then
+ * freed before the query's result is joined. Each query's RNG derives
+ * from (seed, query index), and every alpha's per-query results are
+ * reduced in index order — so each alpha's statistics are bit-identical
+ * to a single-alpha call, at every thread count (tests/test_profiles.cpp
+ * asserts both exactly).
  *
- * @param alpha BGPP alpha_r (0.6 standard, 0.5 aggressive).
+ * Of the model it reads exactly `headDim()`, and of the task exactly
+ * `promptLen` (clamped to [64, @p max_context]) and
+ * `attentionConcentration`; ProfileCache's attention key holds exactly
+ * these (plus alpha and @p seed), so a new input here must be added to
+ * that key.
+ *
+ * @param alphas BGPP alpha_r values (0.6 standard, 0.5 aggressive).
  * @param threads parallel::parallelFor cap for the per-query fan-out
  *        (0 = full global pool, 1 = serial reference path).
  */
 inline constexpr std::size_t kProfileMaxContext = 2048;
 inline constexpr std::size_t kProfileQueries = 8;
 
+std::vector<AttentionStats>
+profileAttention(const model::LlmConfig &model, const model::Workload &task,
+                 const std::vector<double> &alphas, std::uint64_t seed,
+                 std::size_t max_context = kProfileMaxContext,
+                 std::size_t queries = kProfileQueries,
+                 std::size_t threads = 0);
+
+/** profileAttention() at the one alpha_r @p alpha. */
 AttentionStats profileAttention(const model::LlmConfig &model,
                                 const model::Workload &task, double alpha,
                                 std::uint64_t seed,

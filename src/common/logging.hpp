@@ -29,9 +29,27 @@ panicIf(bool cond, const std::string &msg)
         panic(msg);
 }
 
-/** fatal() when @p cond is true. */
+/** panicIf() for a literal: the string is built only on failure. */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond)
+        panic(msg);
+}
+
+/** fatal() when @p cond is true. A message built by concatenation is
+ *  built on every call, failing or not; on a hot path write
+ *  `if (cond) fatal(...)` instead. */
 inline void
 fatalIf(bool cond, const std::string &msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
+/** fatalIf() for a literal: the string is built only on failure. */
+inline void
+fatalIf(bool cond, const char *msg)
 {
     if (cond)
         fatal(msg);

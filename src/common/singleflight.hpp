@@ -30,7 +30,9 @@
  * Keys are compared with operator== and hashed with Hash; both must be
  * exact (see hashMix for combining field hashes). Two counters come
  * with the store: computes() counts compute invocations (a throwing
- * one included), size() the entries whose value is ready.
+ * one included), size() the entries whose value is ready. ready(key)
+ * probes one key without computing it, so a batch filler can skip the
+ * keys already done.
  *
  * Public headers reach this one, and consumers may compile them before
  * C++20, so it uses no C++20 feature.
@@ -91,6 +93,17 @@ class SingleflightMap
         }
         settle(shard, *slot, State::Ready);
         return slot->value;
+    }
+
+    /** Whether @p key's value is ready. A probe: it never computes,
+     *  and a key being computed, or whose last compute threw, is not
+     *  ready. */
+    bool ready(const Key &key) const
+    {
+        const Shard &shard = shards_[shardOf(Hash{}(key))];
+        MutexLock lock(shard.mutex);
+        const auto it = shard.slots.find(key);
+        return it != shard.slots.end() && it->second.state == State::Ready;
     }
 
     /** Entries whose value is ready. */

@@ -1,9 +1,10 @@
 #include "engine/registry.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <map>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,45 +18,62 @@ namespace mcbp::engine {
 
 namespace {
 
+/** ASCII lower-casing: the spec grammar is plain ASCII, so no locale. */
 std::string
-toLower(std::string s)
+toLower(std::string_view s)
 {
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return s;
+    std::string out(s);
+    for (char &c : out)
+        if (c >= 'A' && c <= 'Z')
+            c = static_cast<char>(c - 'A' + 'a');
+    return out;
 }
 
-/** Parsed `name[:key=value,...]` spec. */
+/**
+ * Parsed `name[:key=value,...]` spec. A spec names a few options, so
+ * they sit in one flat vector in spec order (a repeated key keeps its
+ * last value) and are found by a linear scan.
+ */
 struct ParsedSpec
 {
+    using Options = std::vector<std::pair<std::string, std::string>>;
+
     std::string name;
-    std::map<std::string, std::string> options;
+    Options options;
+
+    Options::iterator find(std::string_view key)
+    {
+        return std::find_if(options.begin(), options.end(),
+                            [key](const auto &kv) { return kv.first == key; });
+    }
 };
 
 ParsedSpec
 parseSpec(const std::string &spec)
 {
     ParsedSpec p;
-    const std::size_t colon = spec.find(':');
-    p.name = toLower(spec.substr(0, colon));
+    const std::string_view all(spec);
+    const std::size_t colon = all.find(':');
+    p.name = toLower(all.substr(0, colon));
     fatalIf(p.name.empty(), "empty accelerator spec");
-    if (colon == std::string::npos)
+    if (colon == std::string_view::npos)
         return p;
-    std::string rest = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-        const std::size_t comma = rest.find(',', pos);
-        const std::string kv =
-            rest.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
+    std::string_view rest = all.substr(colon + 1);
+    while (!rest.empty()) {
+        const std::size_t comma = rest.find(',');
+        const std::string_view kv = rest.substr(0, comma);
         const std::size_t eq = kv.find('=');
-        fatalIf(eq == std::string::npos || eq == 0,
-                "malformed option '" + kv + "' in spec '" + spec + "'");
-        p.options[toLower(kv.substr(0, eq))] = kv.substr(eq + 1);
-        if (comma == std::string::npos)
+        if (eq == std::string_view::npos || eq == 0)
+            fatal("malformed option '" + std::string(kv) + "' in spec '" +
+                  spec + "'");
+        std::string key = toLower(kv.substr(0, eq));
+        if (auto it = p.find(key); it != p.options.end())
+            it->second = kv.substr(eq + 1);
+        else
+            p.options.emplace_back(std::move(key), kv.substr(eq + 1));
+        if (comma == std::string_view::npos)
             break;
-        pos = comma + 1;
+        rest.remove_prefix(comma + 1);
     }
     return p;
 }
@@ -63,15 +81,13 @@ parseSpec(const std::string &spec)
 double
 toDouble(const std::string &key, const std::string &value)
 {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        fatalIf(used != value.size(), "trailing characters");
-        return v;
-    } catch (const std::exception &) {
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end)
         fatal("bad numeric value '" + value + "' for option '" + key +
               "'");
-    }
+    return v;
 }
 
 bool
@@ -112,17 +128,23 @@ topologyKeys()
  * multi-typo spec is fixed in one round trip.
  */
 void
-rejectUnknown(const ParsedSpec &p, std::vector<std::string> accepted)
+rejectUnknown(const ParsedSpec &p,
+              std::initializer_list<std::string_view> designKeys)
 {
     if (p.options.empty())
         return;
+    std::vector<std::string> accepted(designKeys.begin(), designKeys.end());
     for (const std::string &key : topologyKeys())
         accepted.push_back(key);
     std::sort(accepted.begin(), accepted.end());
 
-    std::string unknown;
+    std::vector<std::string> leftover;
     for (const auto &kv : p.options)
-        unknown += (unknown.empty() ? "'" : ", '") + kv.first + "'";
+        leftover.push_back(kv.first);
+    std::sort(leftover.begin(), leftover.end());
+    std::string unknown;
+    for (const std::string &key : leftover)
+        unknown += (unknown.empty() ? "'" : ", '") + key + "'";
     std::string known;
     for (const std::string &key : accepted)
         known += (known.empty() ? "" : ", ") + key;
@@ -230,7 +252,7 @@ Registry::make(const std::string &spec) const
     // each requires the fabric it refines to exist.
     ClusterOptions cluster;
     bool clustered = false;
-    if (auto it = p.options.find("tp"); it != p.options.end()) {
+    if (auto it = p.find("tp"); it != p.options.end()) {
         clustered = true;
         cluster.tensorParallel = toCount("tp", it->second);
         p.options.erase(it);
@@ -239,7 +261,7 @@ Registry::make(const std::string &spec) const
     }
     ClusterOptions outerCluster;
     bool tiered = false;
-    if (auto it = p.options.find("tp2"); it != p.options.end()) {
+    if (auto it = p.find("tp2"); it != p.options.end()) {
         // An outer tier needs inner tp >= 2 groups to join; anything
         // else would be a silent no-op or an ambiguous flat degree.
         fatalIf(!clustered || cluster.tensorParallel <= 1,
@@ -256,14 +278,14 @@ Registry::make(const std::string &spec) const
     }
     PipelineOptions pipe;
     bool pipelined = false;
-    if (auto it = p.options.find("pp"); it != p.options.end()) {
+    if (auto it = p.find("pp"); it != p.options.end()) {
         pipelined = true;
         pipe.pipelineParallel = toCount("pp", it->second);
         p.options.erase(it);
         fatalIf(pipe.pipelineParallel == 0,
                 "pp must be >= 1 in spec '" + spec + "'");
     }
-    if (auto it = p.options.find("mb"); it != p.options.end()) {
+    if (auto it = p.find("mb"); it != p.options.end()) {
         // Micro-batching exists only inside a stage pipeline; at
         // pp<=1 the knob would be a silent no-op, so reject it by
         // presence (like the link knobs below).
@@ -283,14 +305,14 @@ Registry::make(const std::string &spec) const
     // and would be a silent no-op with a single replica.
     FleetOptions fleetOpts;
     bool dataParallel = false;
-    if (auto it = p.options.find("dp"); it != p.options.end()) {
+    if (auto it = p.find("dp"); it != p.options.end()) {
         dataParallel = true;
         fleetOpts.dataParallel = toCount("dp", it->second);
         p.options.erase(it);
         fatalIf(fleetOpts.dataParallel == 0,
                 "dp must be >= 1 in spec '" + spec + "'");
     }
-    if (auto it = p.options.find("route"); it != p.options.end()) {
+    if (auto it = p.find("route"); it != p.options.end()) {
         fatalIf(!dataParallel || fleetOpts.dataParallel <= 1,
                 "option 'route" +
                     std::string(dataParallel
@@ -311,7 +333,7 @@ Registry::make(const std::string &spec) const
     if (has_fabric) {
         auto takeLink = [&p](const char *key, double fallback,
                              double min) {
-            auto it = p.options.find(key);
+            auto it = p.find(key);
             if (it == p.options.end())
                 return fallback;
             const double v = toDouble(key, it->second);
@@ -345,20 +367,20 @@ Registry::make(const std::string &spec) const
         // Without a multi-chip fabric, link overrides would be silent
         // no-ops (tp=1/pp=1 never touch it); reject them by presence.
         for (const char *key : {"linkgbs", "linkpj", "hops"})
-            fatalIf(p.options.count(key) != 0,
-                    "option '" + std::string(key) +
-                        (clustered || pipelined
-                             ? "' has no effect at tp=1/pp=1 in spec '"
-                             : "' requires tp= or pp= in spec '") +
-                        spec + "'");
+            if (p.find(key) != p.options.end())
+                fatal("option '" + std::string(key) +
+                      (clustered || pipelined
+                           ? "' has no effect at tp=1/pp=1 in spec '"
+                           : "' requires tp= or pp= in spec '") +
+                      spec + "'");
     }
     if (!has_tier2)
         for (const char *key : {"linkgbs2", "linkpj2", "hops2"})
-            fatalIf(p.options.count(key) != 0,
-                    "option '" + std::string(key) +
-                        "' requires a boundary fabric (tp2 >= 2 or "
-                        "pp >= 2) in spec '" +
-                        spec + "'");
+            if (p.find(key) != p.options.end())
+                fatal("option '" + std::string(key) +
+                      "' requires a boundary fabric (tp2 >= 2 or "
+                      "pp >= 2) in spec '" +
+                      spec + "'");
     auto finish = [&](std::unique_ptr<Accelerator> chip)
         -> std::unique_ptr<Accelerator> {
         if (clustered)
@@ -377,7 +399,7 @@ Registry::make(const std::string &spec) const
     };
 
     auto takeDouble = [&p](const char *key, double fallback) {
-        auto it = p.options.find(key);
+        auto it = p.find(key);
         if (it == p.options.end())
             return fallback;
         const double v = toDouble(key, it->second);
@@ -385,7 +407,7 @@ Registry::make(const std::string &spec) const
         return v;
     };
     auto takeBool = [&p](const char *key, bool fallback) {
-        auto it = p.options.find(key);
+        auto it = p.find(key);
         if (it == p.options.end())
             return fallback;
         const bool v = toBool(key, it->second);
@@ -393,7 +415,7 @@ Registry::make(const std::string &spec) const
         return v;
     };
     auto takeCount = [&p](const char *key, std::size_t fallback) {
-        auto it = p.options.find(key);
+        auto it = p.find(key);
         if (it == p.options.end())
             return fallback;
         const std::size_t v = toCount(key, it->second);
@@ -406,8 +428,8 @@ Registry::make(const std::string &spec) const
         p.name == "mcbp-a" || p.name == "mcbp-baseline") {
         // Start from the canonical presets so the registry can never
         // drift from makeMcbp{Standard,Aggressive,Baseline}(). Options
-        // only: a preset accelerator would build a private profile
-        // cache just to be thrown away.
+        // only: a preset accelerator would profile through the
+        // process-wide cache instead of this registry's.
         accel::McbpOptions o =
             p.name == "mcbp-aggressive" || p.name == "mcbp-a"
                 ? accel::mcbpAggressiveOptions()
@@ -445,17 +467,16 @@ Registry::make(const std::string &spec) const
         // no-op.
         double alpha = 0.6;
         std::uint64_t seed = 1;
-        std::vector<std::string> accepted;
         if (def->fromAttention != nullptr) {
             alpha = takeDouble("alpha", alpha);
-            accepted.push_back("alpha");
-        }
-        if (def->fromAttention != nullptr ||
-            def->fromWeights != nullptr) {
             seed = takeCount("seed", 1);
-            accepted.push_back("seed");
+            rejectUnknown(p, {"alpha", "seed"});
+        } else if (def->fromWeights != nullptr) {
+            seed = takeCount("seed", 1);
+            rejectUnknown(p, {"seed"});
+        } else {
+            rejectUnknown(p, {});
         }
-        rejectUnknown(p, std::move(accepted));
 
         BaselineAdapter::TraitsMaker maker;
         BaselineAdapter::ProfileNeeds needs;

@@ -106,6 +106,9 @@ TEST(Registry, SpecOptionsApply)
     Registry registry;
     auto ganged = registry.make("mcbp:procs=148");
     EXPECT_EQ(ganged->capabilities().processors, 148u);
+    // Keys are case-insensitive and a repeated key keeps its last value.
+    auto repeated = registry.make("mcbp:procs=2,PROCS=4");
+    EXPECT_EQ(repeated->capabilities().processors, 4u);
     auto ablated = registry.make("mcbp:bgpp=0");
     EXPECT_EQ(ablated->name(), "MCBP[RC]");
     auto aggressive = registry.make("MCBP-Aggressive"); // case-insensitive
@@ -182,6 +185,42 @@ TEST(Registry, WarmFleetProfilesEachKeyOnce)
                                  model::findTask(tn));
     // Every run() hit warm cache: no new profiling happened.
     EXPECT_EQ(registry.profileCache()->profileCalls(), calls_after_warm);
+}
+
+TEST(Registry, ProfilesKeyOnTheFieldsTheyRead)
+{
+    // The alpha ladder over the zoo: 4 distinct (hidden, range) weight
+    // keys (OPT1B3 and Bloom1B7 share one) and 2 head dims x 3 (context,
+    // concentration) pairs x 4 alphas = 24 attention keys, each computed
+    // exactly once.
+    Registry registry;
+    auto fleet = registry.fleet({"mcbp", "mcbp-aggressive", "mcbp:alpha=0.55",
+                                 "mcbp:alpha=0.65"});
+    const std::vector<std::string> tasks = {"Dolly", "MBPP", "Wikitext2"};
+    std::vector<std::string> models;
+    for (const model::LlmConfig &m : model::modelZoo())
+        models.push_back(m.name);
+    registry.warmFleet(fleet, models, tasks);
+    const accel::ProfileCache &cache = *registry.profileCache();
+    EXPECT_EQ(cache.size(), 4u + 24u);
+    EXPECT_EQ(cache.profileCalls(), cache.size());
+
+    // Re-warming and running every point computes nothing, and neither
+    // does warming a weight-only and an attention-only baseline on the
+    // same profiling point (Int8, alpha 0.6, seed 1).
+    registry.warmFleet(fleet, models, tasks);
+    for (const auto &accel : fleet)
+        for (const std::string &mn : models)
+            for (const std::string &tn : tasks)
+                (void)accel->run(model::findModel(mn), model::findTask(tn));
+    registry.warmFleet(registry.fleet({"bitwave", "spatten"}), models, tasks);
+    EXPECT_EQ(cache.profileCalls(), 4u + 24u);
+    EXPECT_EQ(cache.size(), 4u + 24u);
+
+    // The weight side alone is the 4 (hidden, range) keys.
+    Registry weightsOnly;
+    weightsOnly.warmFleet(weightsOnly.fleet({"bitwave"}), models, tasks);
+    EXPECT_EQ(weightsOnly.profileCache()->size(), 4u);
 }
 
 TEST(Registry, ProfileCacheIsThreadSafe)

@@ -1,6 +1,10 @@
 /** @file Unit tests for accel/profiles: measured workload statistics. */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "accel/profiles.hpp"
 #include "model/workload.hpp"
 
@@ -103,6 +107,73 @@ TEST(AttentionProfile, ParallelBitIdenticalToSerial)
         EXPECT_EQ(serial.bgppRecall, pooled.bgppRecall);
         EXPECT_EQ(serial.valueTopkRecall, pooled.valueTopkRecall);
     }
+}
+
+/** Bit-for-bit equality of two attention profiles. */
+void
+expectSameBits(const AttentionStats &a, const AttentionStats &b)
+{
+    static_assert(std::is_trivially_copyable_v<AttentionStats>);
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(AttentionStats)), 0);
+}
+
+TEST(AttentionProfile, BatchedAlphasBitIdenticalToSingleCalls)
+{
+    // One synthesized set per query, evaluated at every alpha, must give
+    // each alpha exactly the bits of its own single-alpha call — serial
+    // and pooled alike.
+    const model::LlmConfig &m = model::findModel("OPT1B3");
+    const std::vector<double> alphas = {0.5, 0.55, 0.6, 0.65};
+    for (const char *task : {"Dolly", "MBPP"})
+        for (std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+            const model::Workload &t = model::findTask(task);
+            const std::vector<AttentionStats> batch = profileAttention(
+                m, t, alphas, 1, kProfileMaxContext, kProfileQueries,
+                threads);
+            ASSERT_EQ(batch.size(), alphas.size());
+            for (std::size_t i = 0; i < alphas.size(); ++i)
+                expectSameBits(batch[i],
+                               profileAttention(m, t, alphas[i], 1,
+                                                kProfileMaxContext,
+                                                kProfileQueries, threads));
+        }
+}
+
+TEST(AttentionProfile, ReadsOnlyTheHeadDimOfTheModel)
+{
+    // Bloom1B7 and Llama13B differ in name, hidden, heads and range but
+    // share head dim 128; the attention profile must not tell them apart.
+    const model::LlmConfig &bloom = model::findModel("Bloom1B7");
+    const model::LlmConfig &llama = model::findModel("Llama13B");
+    ASSERT_NE(bloom.name, llama.name);
+    ASSERT_EQ(bloom.headDim(), llama.headDim());
+    const model::Workload &t = model::findTask("MMLU");
+    expectSameBits(profileAttention(bloom, t, 0.6, 3),
+                   profileAttention(llama, t, 0.6, 3));
+}
+
+TEST(WeightProfile, ReadsOnlyHiddenAndRangeOfTheModel)
+{
+    // OPT1B3 and Bloom1B7 differ in name and heads but share hidden 2048
+    // and dynamic range 14; their weight profiles must be equal.
+    const model::LlmConfig &opt = model::findModel("OPT1B3");
+    const model::LlmConfig &bloom = model::findModel("Bloom1B7");
+    ASSERT_NE(opt.name, bloom.name);
+    ASSERT_EQ(opt.hidden, bloom.hidden);
+    ASSERT_EQ(opt.dynamicRange, bloom.dynamicRange);
+    const WeightStats a = profileWeights(opt, quant::BitWidth::Int8, 5);
+    const WeightStats b = profileWeights(bloom, quant::BitWidth::Int8, 5);
+    EXPECT_EQ(a.valueSparsity, b.valueSparsity);
+    EXPECT_EQ(a.meanBitSparsity, b.meanBitSparsity);
+    EXPECT_EQ(a.planeSparsity, b.planeSparsity);
+    EXPECT_EQ(a.brcrAddsPerMac, b.brcrAddsPerMac);
+    EXPECT_EQ(a.mergeFraction, b.mergeFraction);
+    EXPECT_EQ(a.reconFraction, b.reconFraction);
+    EXPECT_EQ(a.camSearchesPerMac, b.camSearchesPerMac);
+    EXPECT_EQ(a.bscAddsPerMac, b.bscAddsPerMac);
+    EXPECT_EQ(a.bstcCompressionRatio, b.bstcCompressionRatio);
+    EXPECT_EQ(a.valueCompressionRatio, b.valueCompressionRatio);
+    EXPECT_EQ(a.bstcSymbolsPerByte, b.bstcSymbolsPerByte);
 }
 
 TEST(AttentionProfile, LongContextSparser)

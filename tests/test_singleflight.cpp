@@ -6,7 +6,9 @@
  *    key exactly once and all read the same value;
  *  - a reference stays valid and unchanged across many later inserts
  *    (and rehashes) in its own shard;
- *  - a throwing compute leaves the key retryable by the next caller.
+ *  - a throwing compute leaves the key retryable by the next caller;
+ *  - ready() reports exactly the keys whose value is ready, without
+ *    ever computing one.
  */
 #include <gtest/gtest.h>
 
@@ -105,6 +107,26 @@ TEST(Singleflight, ThrowingComputeLetsTheNextCallerRetry)
     EXPECT_EQ(map.get(5, [] { return 99; }), 11); // cached now.
     EXPECT_EQ(map.size(), 1u);
     EXPECT_EQ(map.computes(), 2u); // the failed attempt and the retry.
+}
+
+TEST(Singleflight, ReadyProbesWithoutComputing)
+{
+    SingleflightMap<int, int> map;
+    EXPECT_FALSE(map.ready(3));
+    EXPECT_EQ(map.get(3, [] { return 30; }), 30);
+    EXPECT_TRUE(map.ready(3));
+    EXPECT_FALSE(map.ready(4));
+
+    EXPECT_THROW((void)map.get(4,
+                               []() -> int {
+                                   throw std::runtime_error("flaky");
+                               }),
+                 std::runtime_error);
+    EXPECT_FALSE(map.ready(4)); // the throw left the slot empty.
+
+    // The probes themselves computed nothing and added no entry.
+    EXPECT_EQ(map.computes(), 2u);
+    EXPECT_EQ(map.size(), 1u);
 }
 
 } // namespace
