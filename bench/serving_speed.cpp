@@ -68,15 +68,18 @@ costsIdentical(const engine::ServingSimulator::CostedTrace &a,
     for (std::size_t i = 0; i < a.costs.size(); ++i) {
         const engine::CostedRequest &x = a.costs[i];
         const engine::CostedRequest &y = b.costs[i];
+        const engine::TopologyPrice &xp = x.price[engine::kHealthy];
+        const engine::TopologyPrice &yp = y.price[engine::kHealthy];
         if (x.req->id != y.req->id ||
             x.arrivalCycles != y.arrivalCycles ||
-            x.prefillCycles != y.prefillCycles ||
-            x.weightCyclesPerToken != y.weightCyclesPerToken ||
-            x.linearCyclesPerToken != y.linearCyclesPerToken ||
-            x.otherCyclesPerToken != y.otherCyclesPerToken ||
-            x.fixedCyclesPerToken != y.fixedCyclesPerToken ||
-            x.weightJoulesPerToken != y.weightJoulesPerToken ||
-            x.otherJoulesPerToken != y.otherJoulesPerToken ||
+            xp.prefillCycles != yp.prefillCycles ||
+            xp.pendingPrefillJoules != yp.pendingPrefillJoules ||
+            xp.weightCyclesPerToken != yp.weightCyclesPerToken ||
+            xp.linearCyclesPerToken != yp.linearCyclesPerToken ||
+            xp.otherCyclesPerToken != yp.otherCyclesPerToken ||
+            xp.fixedCyclesPerToken != yp.fixedCyclesPerToken ||
+            xp.weightJoulesPerToken != yp.weightJoulesPerToken ||
+            xp.otherJoulesPerToken != yp.otherJoulesPerToken ||
             x.kvBytes != y.kvBytes ||
             x.kvBytesPerToken != y.kvBytesPerToken ||
             x.remainingTokens != y.remainingTokens)

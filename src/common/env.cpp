@@ -11,9 +11,6 @@ const std::vector<Knob> &
 knobs()
 {
     static const std::vector<Knob> table = {
-        {"MCBP_SERVING_STEP", "coalesced", "engine/event_core",
-         "Decode stepping: 'coalesced' (closed-form windows between "
-         "events) or 'per-token' (reference loop; bit-equal decisions)"},
         {"MCBP_SIMD", "best runnable tier", "common/simd dispatch",
          "Clamp the kernel dispatch DOWN to 'scalar', 'avx2' or "
          "'avx512'; never raises above what CPUID allows"},

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 
 #include "accel/report.hpp"
-#include "common/env.hpp"
 #include "common/logging.hpp"
 
 namespace mcbp::engine {
@@ -16,8 +14,6 @@ std::string
 toString(StepMode mode)
 {
     switch (mode) {
-    case StepMode::Auto:
-        return "auto";
     case StepMode::Coalesced:
         return "coalesced";
     case StepMode::PerToken:
@@ -26,37 +22,16 @@ toString(StepMode mode)
     return "unknown";
 }
 
-StepMode
-stepModeFromEnv()
-{
-    const char *env = env::get("MCBP_SERVING_STEP");
-    if (env == nullptr || *env == '\0')
-        return StepMode::Coalesced;
-    const std::string value(env);
-    if (value == "coalesced")
-        return StepMode::Coalesced;
-    if (value == "per-token")
-        return StepMode::PerToken;
-    fatal("MCBP_SERVING_STEP must be 'coalesced' or 'per-token', got '" +
-          value + "'");
-}
-
 EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
                      KvOptions kv, PrefillPricer repricer, StepMode step,
-                     FaultInputs faults, PrefillPricer degradedRepricer)
+                     FaultInputs faults)
     : scheduler_(&scheduler), maxBatch_(maxBatch), kv_(kv),
-      repricer_(std::move(repricer)),
-      step_(step == StepMode::Auto ? stepModeFromEnv() : step),
-      faults_(std::move(faults)),
-      degradedRepricer_(std::move(degradedRepricer))
+      repricer_(std::move(repricer)), step_(step),
+      faults_(std::move(faults))
 {
     fatalIf(maxBatch_ == 0, "maxBatch must be positive");
     fatalIf(kv_.policy == KvPolicy::Paged && !repricer_,
             "paged KV needs a prefill re-pricer for recompute");
-    fatalIf(faults_.enabled && kv_.policy == KvPolicy::Paged &&
-                faults_.hasDegraded && !degradedRepricer_,
-            "degraded-mode paged serving needs a degraded prefill "
-            "re-pricer so preemptions keep both prices fresh");
     if (faults_.enabled)
         for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
             fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
@@ -105,7 +80,11 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     bool dead = false;           // Fleet lost beyond any replan.
     bool permanent_down = false; // A permanent chip failure happened.
     std::size_t chips_down = 0;  // Transient failures under repair.
-    bool degraded_mode = false;  // Decode at degraded-topology rates.
+    Topology mode = kHealthy;    // The topology serving right now.
+    // Topologies the requests are priced on: the degraded one only
+    // when faults can put the fleet on it.
+    const std::size_t topologies =
+        faulty && faults_.hasDegraded ? kTopologies : 1;
     double outage_until = 0.0;   // No replan available: down to repair.
     std::vector<double> link_factors;  // Active bandwidth multipliers.
     std::vector<double> stall_factors; // Active straggler slowdowns.
@@ -122,13 +101,13 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // so disabled faults change no bit of the result.
     auto advance = [&](double delta) {
         clock += delta;
-        if (degraded_mode)
+        if (mode == kDegraded)
             stats.degradedCycles += delta;
     };
     auto jump_to = [&](double to) {
         if (to <= clock)
             return;
-        if (degraded_mode)
+        if (mode == kDegraded)
             stats.degradedCycles += to - clock;
         clock = to;
     };
@@ -172,21 +151,19 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         ++c->preemptions;
         ++stats.preemptions;
         stats.preemptionOrder.push_back(c->req->id);
-        const PrefillPrice price =
-            repricer_(*c, c->promptTokens + progress);
-        c->prefillCycles = price.cycles;
-        // The recompute's energy is genuinely spent on top of whatever
-        // the request already burned; charge it now (the re-admission
-        // always happens — the loop runs the trace to completion).
-        double joules = price.joules;
-        if (faulty && faults_.hasDegraded) {
-            // Keep the degraded prefill price as fresh as the healthy
-            // one, and charge the mode the recompute actually runs in.
-            const PrefillPrice deg =
-                degradedRepricer_(*c, c->promptTokens + progress);
-            c->prefillCyclesDeg = deg.cycles;
-            if (degraded_mode)
-                joules = deg.joules;
+        // Re-price every topology the run prices, so the re-admission
+        // finds a fresh prefill whatever mode it lands in. The
+        // recompute's energy is genuinely spent on top of whatever the
+        // request already burned; charge the current mode's now (the
+        // re-admission always happens — the loop runs the trace to
+        // completion).
+        double joules = 0.0;
+        for (std::size_t t = 0; t < topologies; ++t) {
+            const PrefillPrice price = repricer_(
+                *c, c->promptTokens + progress, static_cast<Topology>(t));
+            c->price[t].prefillCycles = price.cycles;
+            if (t == mode)
+                joules = price.joules;
         }
         c->joules += joules;
         waiting.push_front(c);
@@ -230,10 +207,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             stats.faultLostTokens += progress;
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
-            c->prefillCycles = c->basePrefillCycles;
-            c->prefillCyclesDeg = c->basePrefillCyclesDeg;
-            c->pendingPrefillJoules = c->basePrefillJoules;
-            c->pendingPrefillJoulesDeg = c->basePrefillJoulesDeg;
+            for (TopologyPrice &p : c->price) {
+                p.prefillCycles = p.basePrefillCycles;
+                p.pendingPrefillJoules = p.basePrefillJoules;
+            }
             c->restartPending = true;
             ++stats.killedInFlight;
             ++impact.killed;
@@ -318,8 +295,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                         outage_until =
                             std::max(outage_until, e.repairAt);
                 }
-                degraded_mode = faults_.hasDegraded && !dead &&
-                                (permanent_down || chips_down > 0);
+                mode = faults_.hasDegraded && !dead &&
+                               (permanent_down || chips_down > 0)
+                           ? kDegraded
+                           : kHealthy;
                 kill_active(impact);
                 if (dead)
                     drop_all_pending(impact);
@@ -327,8 +306,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             case sim::FaultKind::ChipRepair:
                 if (chips_down > 0)
                     --chips_down;
-                degraded_mode = faults_.hasDegraded && !dead &&
-                                (permanent_down || chips_down > 0);
+                mode = faults_.hasDegraded && !dead &&
+                               (permanent_down || chips_down > 0)
+                           ? kDegraded
+                           : kHealthy;
                 break;
             case sim::FaultKind::LinkDegrade:
                 link_factors.push_back(e.factor);
@@ -530,29 +511,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         double weight_joules = 0.0;
         double linear_max = 0.0;
         double other_max = 0.0;
-        // Degraded mode swaps every per-token price for its degraded-
-        // topology twin; the composition below is otherwise identical.
-        const bool dm = degraded_mode;
         for (const CostedRequest *c : active) {
-            const double wc = dm ? c->weightCyclesPerTokenDeg
-                                 : c->weightCyclesPerToken;
-            const double wj = dm ? c->weightJoulesPerTokenDeg
-                                 : c->weightJoulesPerToken;
-            const double lc = dm ? c->linearCyclesPerTokenDeg
-                                 : c->linearCyclesPerToken;
-            const double oc = dm ? c->otherCyclesPerTokenDeg
-                                 : c->otherCyclesPerToken;
-            weight_cycles = std::max(weight_cycles, wc);
-            weight_joules = std::max(weight_joules, wj);
-            linear_cycles += lc;
-            other_cycles += oc;
-            linear_max = std::max(linear_max, lc);
-            other_max = std::max(other_max, oc);
+            const TopologyPrice &p = c->price[mode];
+            weight_cycles = std::max(weight_cycles, p.weightCyclesPerToken);
+            weight_joules = std::max(weight_joules, p.weightJoulesPerToken);
+            linear_cycles += p.linearCyclesPerToken;
+            other_cycles += p.otherCyclesPerToken;
+            linear_max = std::max(linear_max, p.linearCyclesPerToken);
+            other_max = std::max(other_max, p.otherCyclesPerToken);
             // Hop-latency floor: every request's collective is the
             // same collective, so the batch pays it once.
-            fixed_cycles =
-                std::max(fixed_cycles, dm ? c->fixedCyclesPerTokenDeg
-                                          : c->fixedCyclesPerToken);
+            fixed_cycles = std::max(fixed_cycles, p.fixedCyclesPerToken);
         }
         // Stage-aware costing: on a pipeline, distinct requests'
         // traversals overlap across the stages, so the batch's summed
@@ -560,8 +529,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // single request can never finish faster than its own full
         // traversal (the max). stages=1 reduces to the plain sum
         // bit-for-bit (sum/1 == sum, and sum >= each element).
-        const double stages = static_cast<double>(std::max<std::size_t>(
-            1, dm ? active.front()->stagesDeg : active.front()->stages));
+        const TopologyPrice &front = active.front()->price[mode];
+        const double stages = static_cast<double>(
+            std::max<std::size_t>(1, front.stages));
         const double linear_batch =
             std::max(linear_cycles / stages, linear_max);
         const double other_batch =
@@ -569,9 +539,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // Everyone in the batch runs on the same accelerator, so the
         // composition rule is uniform across the active set.
         const double linear_segment = accel::composedLinearCycles(
-            weight_cycles, linear_batch,
-            dm ? active.front()->memorySerializedDeg
-               : active.front()->memorySerialized);
+            weight_cycles, linear_batch, front.memorySerialized);
         IterCost out;
         // A degraded link stretches the collective floor; a straggler
         // stretches the whole iteration. Both scale products are
@@ -596,8 +564,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         cand.promptLen = c.req->promptLen;
         cand.decodeLen = c.req->decodeLen;
         cand.waitCycles = clock - c.arrivalCycles;
-        cand.prefillCycles =
-            degraded_mode ? c.prefillCyclesDeg : c.prefillCycles;
+        cand.prefillCycles = c.price[mode].prefillCycles;
         const bool model_ok =
             active.empty() || c.req->model == active.front()->req->model;
         bool kv_ok;
@@ -733,24 +700,18 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 stats.kvPeakBytes =
                     std::max(stats.kvPeakBytes, kv_in_use);
             }
-            const double prefill =
-                degraded_mode ? c->prefillCyclesDeg : c->prefillCycles;
+            const double prefill = c->price[mode].prefillCycles;
             advance(prefill);
             stats.busyCycles += prefill;
-            if (faulty) {
-                // Faulted runs charge the prefill energy of the mode
-                // the prefill actually ran in, deferred to admission;
-                // zero-fault runs precharged it at costing time with
-                // the identical value, so the accumulation order (and
-                // every bit of the total) is unchanged.
-                c->joules += degraded_mode ? c->pendingPrefillJoulesDeg
-                                           : c->pendingPrefillJoules;
-                c->pendingPrefillJoules = 0.0;
-                c->pendingPrefillJoulesDeg = 0.0;
-                if (c->restartPending) {
-                    stats.faultRecomputeCycles += prefill;
-                    c->restartPending = false;
-                }
+            // Charge the prefill energy of the mode the prefill runs
+            // in. A re-admission after a paged preemption finds it
+            // already charged (the preemption paid the recompute).
+            c->joules += c->price[mode].pendingPrefillJoules;
+            for (TopologyPrice &p : c->price)
+                p.pendingPrefillJoules = 0.0;
+            if (c->restartPending) {
+                stats.faultRecomputeCycles += prefill;
+                c->restartPending = false;
             }
             admitted_any = true;
             if (c->remainingTokens == 0)
@@ -911,8 +872,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             cost.weightJoules / static_cast<double>(active.size());
         for (auto it = active.begin(); it != active.end();) {
             CostedRequest *c = *it;
-            c->joules +=
-                kd * (c->otherJoulesPerToken + weight_joules_share);
+            // The per-request split is the healthy one in either mode
+            // (only the shared weight share follows the mode).
+            c->joules += kd * (c->price[kHealthy].otherJoulesPerToken +
+                               weight_joules_share);
             if (!c->firstTokenSeen) {
                 c->firstTokenSeen = true;
                 // End of the window's first iteration — exact for any

@@ -40,8 +40,8 @@
  * per token. Scheduling decisions (admissions, preemption order,
  * completion order) are exactly those of the per-token reference;
  * aggregate cycle/energy totals agree to ~1e-9 relative (the closed
- * forms re-associate floating-point sums). MCBP_SERVING_STEP=per-token
- * selects the reference path at runtime.
+ * forms re-associate floating-point sums). StepMode::PerToken selects
+ * the reference path.
  *
  * Fault tolerance (FaultInputs; sim/fault_model.hpp): fault events
  * are first-class window boundaries — a coalesced window never
@@ -63,6 +63,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -79,20 +80,69 @@ namespace mcbp::engine {
 /** Decode-iteration stepping strategy of the event core. */
 enum class StepMode
 {
-    Auto,      ///< Resolve from MCBP_SERVING_STEP (default: coalesced).
     Coalesced, ///< Closed-form multi-iteration advance between events.
     PerToken,  ///< One loop pass per decode token (reference path).
 };
 
-/** Canonical name, e.g. "coalesced", "per-token" ("auto" for Auto). */
+/** Canonical name: "coalesced" or "per-token". */
 std::string toString(StepMode mode);
 
+/** Topologies a request is priced on: CostedRequest::price's index. */
+enum Topology : std::size_t
+{
+    kHealthy = 0,  ///< The full fleet.
+    kDegraded = 1, ///< The surviving fleet after a chip failure.
+};
+
+/** Number of Topology values. */
+constexpr std::size_t kTopologies = 2;
+
 /**
- * StepMode selected by the MCBP_SERVING_STEP environment variable:
- * "per-token" or "coalesced"; unset or empty means Coalesced.
- * fatal() on any other value.
+ * Price of one request on one topology, from its batch-1 run: the
+ * prefill, and the decode run split per token into the shared weight
+ * stream, per-request linear work, attention/SFU and the collective
+ * floor, with the energy split the same way.
  */
-StepMode stepModeFromEnv();
+struct TopologyPrice
+{
+    /** Prefill cycles the next admission pays (re-priced to the
+     *  recompute length after a preemption). */
+    double prefillCycles = 0.0;
+    /** Full-prompt restart price: a fault kill loses all decode
+     *  progress, so the next admission replays the original prefill
+     *  (unlike a paged preemption, which re-prices prompt+progress). */
+    double basePrefillCycles = 0.0;
+    double basePrefillJoules = 0.0;
+    /** Prefill energy charged at the next admission, in the topology
+     *  the prefill runs on (0 once charged). */
+    double pendingPrefillJoules = 0.0;
+    /** Per-token weight-stream cycles (shared across a decode batch). */
+    double weightCyclesPerToken = 0.0;
+    /** Per-token linear work (GEMM + activations; per-request, but it
+     *  overlaps the shared weight stream). */
+    double linearCyclesPerToken = 0.0;
+    /** Per-token attention/SFU cycles (per-request, not overlapped). */
+    double otherCyclesPerToken = 0.0;
+    /** Fixed per-iteration latency floor (cluster all-reduce hops),
+     *  shared by the batch like the weight stream (max, not sum). */
+    double fixedCyclesPerToken = 0.0;
+    /** Energy split mirroring the cycle split, so the scheduler can
+     *  amortize the shared weight stream in joules too. */
+    double weightJoulesPerToken = 0.0;
+    double otherJoulesPerToken = 0.0;
+    /** Composition rule of the wrapped model's linear segment
+     *  (see PhaseMetrics::memorySerialized). */
+    bool memorySerialized = false;
+    /**
+     * Pipeline stages of the topology's accelerator
+     * (Capabilities::pipelineStages; 1 = unpipelined). Distinct
+     * requests' decode traversals overlap across stages, so a batch's
+     * summed linear/attention work drains at the bottleneck stage —
+     * sum/stages — but never faster than one full traversal (the max
+     * over the batch). stages=1 reduces to the plain sum.
+     */
+    std::size_t stages = 1;
+};
 
 /** Precomputed cost model of one request (from a batch-1 run). */
 struct CostedRequest
@@ -109,36 +159,18 @@ struct CostedRequest
      */
     model::Workload recomputeShape;
     double arrivalCycles = 0.0;
-    /** Prefill cycles the next admission pays (re-priced to the
-     *  recompute length after a preemption). */
-    double prefillCycles = 0.0;
-    /** Per-token weight-stream cycles (shared across a decode batch). */
-    double weightCyclesPerToken = 0.0;
-    /** Per-token linear work (GEMM + activations; per-request, but it
-     *  overlaps the shared weight stream). */
-    double linearCyclesPerToken = 0.0;
-    /** Per-token attention/SFU cycles (per-request, not overlapped). */
-    double otherCyclesPerToken = 0.0;
-    /** Fixed per-iteration latency floor (cluster all-reduce hops),
-     *  shared by the batch like the weight stream (max, not sum). */
-    double fixedCyclesPerToken = 0.0;
-    /** Composition rule of the wrapped model's linear segment
-     *  (see PhaseMetrics::memorySerialized). */
-    bool memorySerialized = false;
     /**
-     * Pipeline stages of the serving accelerator
-     * (Capabilities::pipelineStages; 1 = unpipelined). Distinct
-     * requests' decode traversals overlap across stages, so a batch's
-     * summed linear/attention work drains at the bottleneck stage —
-     * sum/stages — but never faster than one full traversal (the max
-     * over the batch). stages=1 reduces to the plain sum.
+     * The request's price on each topology. price[kHealthy] is always
+     * set; price[kDegraded] is priced on the surviving-fleet
+     * accelerator (health.hpp) only when faults are armed and a
+     * degraded accelerator was supplied (FaultInputs::hasDegraded),
+     * and is what admission and the decode iteration read while the
+     * fleet runs degraded.
      */
-    std::size_t stages = 1;
-    /** Energy split mirroring the cycle split, so the scheduler can
-     *  amortize the shared weight stream in joules too. */
-    double weightJoulesPerToken = 0.0;
-    double otherJoulesPerToken = 0.0;
-    double joules = 0.0; ///< Accumulated as the request is served.
+    std::array<TopologyPrice, kTopologies> price{};
+    /** Accumulated as the request is served, starting at its first
+     *  admission (which charges the pending prefill energy). */
+    double joules = 0.0;
     /** KV-cache bytes of this request's full footprint (its largest
      *  residency; policy-quantized — see kvFootprintBytes). Reserve
      *  admission charges exactly this; paged admission grows to at
@@ -162,36 +194,6 @@ struct CostedRequest
     std::size_t recomputedTokens = 0;
 
     // ---- Fault-tolerant serving state (inert on zero-fault runs) ----
-    /**
-     * Degraded-topology twins of the decode rates above, priced on
-     * the surviving-fleet accelerator (health.hpp): the iteration
-     * cost switches to these while the fleet runs degraded. Set by
-     * the serving layer only when a degraded accelerator was
-     * supplied (FaultInputs::hasDegraded).
-     */
-    double weightCyclesPerTokenDeg = 0.0;
-    double linearCyclesPerTokenDeg = 0.0;
-    double otherCyclesPerTokenDeg = 0.0;
-    double fixedCyclesPerTokenDeg = 0.0;
-    double weightJoulesPerTokenDeg = 0.0;
-    double otherJoulesPerTokenDeg = 0.0;
-    bool memorySerializedDeg = false;
-    std::size_t stagesDeg = 1;
-    /** Degraded twin of prefillCycles (kept fresh by re-pricing). */
-    double prefillCyclesDeg = 0.0;
-    /** Full-prompt restart prices: a fault kill loses all decode
-     *  progress, so the next admission replays the original prefill
-     *  (unlike a paged preemption, which re-prices prompt+progress). */
-    double basePrefillCycles = 0.0;
-    double basePrefillJoules = 0.0;
-    double basePrefillCyclesDeg = 0.0;
-    double basePrefillJoulesDeg = 0.0;
-    /** Prefill energy charged at the next admission. Faulted runs
-     *  defer the charge to admission (mode-dependent); zero-fault
-     *  runs precharge at costing, bit-identically (the admission is
-     *  the first accumulation either way). */
-    double pendingPrefillJoules = 0.0;
-    double pendingPrefillJoulesDeg = 0.0;
     std::size_t retries = 0;    ///< Fault-kill restarts so far.
     double retryAtCycles = 0.0; ///< Backoff expiry (earliest retry).
     double deadlineCycles = 0.0; ///< Drop-dead clock (0 = none).
@@ -222,8 +224,8 @@ struct FaultInputs
     /** Per-request completion deadline from arrival (0 = none):
      *  queued or retrying work past it is dropped. */
     double deadlineCycles = 0.0;
-    /** Degraded-topology rates are present on every request, so chip
-     *  failures degrade the fleet instead of taking it down. */
+    /** Every request carries its price[kDegraded], so chip failures
+     *  degrade the fleet instead of taking it down. */
     bool hasDegraded = false;
 };
 
@@ -310,28 +312,28 @@ struct PrefillPrice
 
 /**
  * Prices a prefill of @p residentTokens tokens (prompt + recomputed
- * decode progress) for @p request through the accelerator's prefill
- * path. Required by the paged policy; never called under Reserve.
+ * decode progress) for @p request through the prefill path of the
+ * accelerator serving @p topology. Required by the paged policy;
+ * never called under Reserve, and called for kDegraded only when
+ * FaultInputs::hasDegraded.
  */
-using PrefillPricer =
-    std::function<PrefillPrice(const CostedRequest &request,
-                               std::size_t residentTokens)>;
+using PrefillPricer = std::function<PrefillPrice(
+    const CostedRequest &request, std::size_t residentTokens,
+    Topology topology)>;
 
 /** The event loop: one engine, one scheduler, one KV pool. */
 class EventCore
 {
   public:
     /**
-     * @p step Auto resolves MCBP_SERVING_STEP at construction.
+     * @p repricer re-prices a paged preemption's recompute prefill on
+     * every topology the run prices (required under paged KV).
      * @p faults default-constructed disables fault injection.
-     * @p degradedRepricer prices a recompute prefill on the degraded
-     * topology (required when faults.hasDegraded and the KV policy is
-     * paged, so a preemption keeps both prefill prices fresh).
      */
     EventCore(const Scheduler &scheduler, std::size_t maxBatch,
               KvOptions kv, PrefillPricer repricer = nullptr,
-              StepMode step = StepMode::Auto, FaultInputs faults = {},
-              PrefillPricer degradedRepricer = nullptr);
+              StepMode step = StepMode::Coalesced,
+              FaultInputs faults = {});
 
     /** Play @p requests to completion (or to their drop). */
     EventStats run(std::vector<CostedRequest> &requests) const;
@@ -343,7 +345,6 @@ class EventCore
     PrefillPricer repricer_;
     StepMode step_;
     FaultInputs faults_;
-    PrefillPricer degradedRepricer_;
 };
 
 } // namespace mcbp::engine

@@ -247,11 +247,12 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     std::vector<double> kvDemand(trace.size(), 0.0);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const CostedRequest &c = costed.costs[i];
+        const TopologyPrice &p = c.price[kHealthy];
         const double perToken =
-            c.weightCyclesPerToken + c.linearCyclesPerToken +
-            c.otherCyclesPerToken + c.fixedCyclesPerToken;
+            p.weightCyclesPerToken + p.linearCyclesPerToken +
+            p.otherCyclesPerToken + p.fixedCyclesPerToken;
         estSeconds[i] =
-            (c.prefillCycles +
+            (p.prefillCycles +
              static_cast<double>(c.remainingTokens) * perToken) *
             to_seconds;
         kvDemand[i] = c.kvBytes;

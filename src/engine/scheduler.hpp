@@ -52,7 +52,7 @@
  * an npos, reusing the entries pick() already built) is a live
  * decision, so the core re-asks on the per-token cadence in that
  * case. A stateful scheduler that changes its answer with nothing but
- * waitCycles aging would need MCBP_SERVING_STEP=per-token.
+ * waitCycles aging would need StepMode::PerToken.
  */
 #pragma once
 

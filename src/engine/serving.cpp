@@ -1,6 +1,7 @@
 #include "engine/serving.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <set>
 #include <string_view>
@@ -35,6 +36,54 @@ weightEnergyFraction(const accel::PhaseMetrics &decode)
     return std::clamp(frac, 0.0, 1.0);
 }
 
+/** Prefill energy of a batch-1 run, in joules over all its processors. */
+double
+prefillJoules(const accel::RunMetrics &rm)
+{
+    return rm.prefill.energy.totalPj() * 1e-12 *
+           static_cast<double>(rm.processors);
+}
+
+/**
+ * The price of a request on one topology from its batch-1 run @p rm
+ * on that topology's accelerator (@p stages pipeline stages). The raw
+ * decode streams let the event core re-compose the linear segment at
+ * the batch's size, inverting the model's own composition rule; the
+ * remainder (attention, SFU) is per-request work. The prefill energy
+ * is left pending: admission charges it in the mode it runs in.
+ */
+TopologyPrice
+topologyPrice(const accel::RunMetrics &rm, std::size_t decodeLen,
+              std::size_t stages)
+{
+    TopologyPrice p;
+    p.stages = stages;
+    p.prefillCycles = rm.prefill.cycles;
+    p.basePrefillCycles = rm.prefill.cycles;
+    p.basePrefillJoules = prefillJoules(rm);
+    p.pendingPrefillJoules = p.basePrefillJoules;
+    if (decodeLen == 0)
+        return p;
+    const double steps = static_cast<double>(decodeLen);
+    p.memorySerialized = rm.decode.memorySerialized;
+    p.weightCyclesPerToken = rm.decode.weightStreamCycles / steps;
+    p.linearCyclesPerToken = rm.decode.linearWorkCycles / steps;
+    const double linear_segment = accel::composedLinearCycles(
+        rm.decode.weightStreamCycles, rm.decode.linearWorkCycles,
+        p.memorySerialized);
+    p.fixedCyclesPerToken = rm.decode.fixedStepCycles / steps;
+    p.otherCyclesPerToken =
+        std::max(0.0, rm.decode.cycles - linear_segment -
+                          rm.decode.fixedStepCycles) /
+        steps;
+    const double decode_joules = rm.decode.energy.totalPj() * 1e-12 *
+                                 static_cast<double>(rm.processors);
+    const double wf = weightEnergyFraction(rm.decode);
+    p.weightJoulesPerToken = decode_joules * wf / steps;
+    p.otherJoulesPerToken = decode_joules * (1.0 - wf) / steps;
+    return p;
+}
+
 /**
  * Announce to @p accel's profile cache the profiles it needs for
  * @p trace, and warm them on up to @p threads threads. A request's
@@ -67,14 +116,34 @@ warmProfiles(const Accelerator &accel,
 
 ServingSimulator::ServingSimulator(const Accelerator &accel,
                                    ServingOptions opts)
-    : accel_(&accel), opts_(opts), planCache_(accel::makePlanCache()),
-      planIdentity_(planCache_->intern(accel.name(), accel.configSummary()))
+    : accel_(&accel), opts_(opts), planCache_(accel::makePlanCache())
 {
-    // Option bounds are enforced by EventCore, which owns them.
-    if (opts_.degradedAccel != nullptr)
-        degradedIdentity_ =
-            planCache_->intern(opts_.degradedAccel->name(),
-                               opts_.degradedAccel->configSummary());
+    // Option bounds are enforced by EventCore, which owns them. The
+    // degraded topology is only priced when faults can actually put
+    // the fleet on it.
+    topologies_ =
+        opts_.faults.enabled() && opts_.degradedAccel != nullptr
+            ? kTopologies
+            : 1;
+    for (std::size_t t = 0; t < topologies_; ++t) {
+        const Accelerator &a = accelOn(static_cast<Topology>(t));
+        identity_[t] = planCache_->intern(a.name(), a.configSummary());
+    }
+}
+
+const Accelerator &
+ServingSimulator::accelOn(Topology topology) const
+{
+    return topology == kHealthy ? *accel_ : *opts_.degradedAccel;
+}
+
+const accel::RunMetrics &
+ServingSimulator::runOn(Topology topology, const model::LlmConfig &m,
+                        const model::Workload &w) const
+{
+    return planCache_->metrics(identity_[topology], m, w, [&] {
+        return accelOn(topology).run(m, w);
+    });
 }
 
 KvOptions
@@ -100,23 +169,17 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     // whichever costing thread hits them first. Announcing the trace's
     // profiling shapes up front lets the cache fan the distinct keys out
     // over the thread pool (racing engines singleflight), leaving only
-    // cache hits in the costing fan-out below. The degraded topology is
-    // only priced when faults can actually put the fleet on it.
-    warmProfiles(*accel_, trace, opts_.profileThreads);
-    const bool faulty = opts_.faults.enabled();
-    const Accelerator *deg = faulty ? opts_.degradedAccel : nullptr;
-    if (deg != nullptr)
-        warmProfiles(*deg, trace, opts_.profileThreads);
-
+    // cache hits in the costing fan-out below.
+    std::array<std::size_t, kTopologies> stages{};
+    for (std::size_t t = 0; t < topologies_; ++t) {
+        const Accelerator &a = accelOn(static_cast<Topology>(t));
+        warmProfiles(a, trace, opts_.profileThreads);
+        // Pipeline stage count for the decode iteration's stage-aware
+        // overlap (one accelerator serves the whole trace).
+        stages[t] =
+            std::max<std::size_t>(1, a.capabilities().pipelineStages);
+    }
     const KvOptions kv = kvOptions();
-    // Pipeline stage count for the decode iteration's stage-aware
-    // overlap (one accelerator serves the whole trace).
-    const std::size_t stages =
-        std::max<std::size_t>(1, accel_->capabilities().pipelineStages);
-    const std::size_t stages_deg =
-        deg != nullptr
-            ? std::max<std::size_t>(1, deg->capabilities().pipelineStages)
-            : 1;
 
     // ---- Cost each request with a batch-1 run ---------------------------
     // The fan-out prices each request independently (distinct shapes
@@ -137,8 +200,7 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             const model::Request &req = trace[i];
             const model::LlmConfig &m = model::findModel(req.model);
             const model::Workload w = req.workload();
-            const accel::RunMetrics &rm = planCache_->metrics(
-                planIdentity_, m, w, [&] { return accel_->run(m, w); });
+            const accel::RunMetrics &rm = runOn(kHealthy, m, w);
 
             Line line;
             line.seconds = rm.seconds();
@@ -149,9 +211,20 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             c.model = &m;
             c.recomputeShape = w;
             c.recomputeShape.decodeLen = 0;
-            c.stages = stages;
             c.arrivalCycles = req.arrivalSeconds * rm.clockGhz * 1e9;
-            c.prefillCycles = rm.prefill.cycles;
+            c.price[kHealthy] =
+                topologyPrice(rm, req.decodeLen, stages[kHealthy]);
+            if (topologies_ > 1) {
+                // The degraded twin goes through the same plan cache
+                // under its own identity and is split the same way,
+                // so degraded decode windows compose like healthy ones.
+                const accel::RunMetrics &rmd = runOn(kDegraded, m, w);
+                fatalIf(rmd.clockGhz != rm.clockGhz,
+                        "degraded accelerator must run at the primary "
+                        "accelerator's clock (cycle timelines merge)");
+                c.price[kDegraded] =
+                    topologyPrice(rmd, req.decodeLen, stages[kDegraded]);
+            }
             // Largest-residency footprint, quantized by the KV policy:
             // exact (prompt + decode) bytes under reserve, whole blocks
             // under paged, 0 when no token is ever generated.
@@ -160,101 +233,6 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             c.promptTokens = req.promptLen;
             c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken,
                                          req.promptLen, req.decodeLen);
-            const double procs = static_cast<double>(rm.processors);
-            // Start from the prefill energy; decode energy accrues per
-            // served token with the weight stream amortized.
-            const double prefill_joules =
-                rm.prefill.energy.totalPj() * 1e-12 * procs;
-            if (faulty) {
-                // Faulted runs defer the prefill charge to admission
-                // (the mode the prefill actually runs in). The first
-                // accumulation into c.joules is the identical value
-                // either way, so a fault-enabled run whose timeline
-                // never fires is bit-identical to this precharge.
-                c.joules = 0.0;
-                c.pendingPrefillJoules = prefill_joules;
-                c.basePrefillCycles = c.prefillCycles;
-                c.basePrefillJoules = prefill_joules;
-            } else {
-                c.joules = prefill_joules;
-            }
-            if (req.decodeLen > 0) {
-                const double steps =
-                    static_cast<double>(req.decodeLen);
-                // Raw streams let the scheduler re-compose the linear
-                // segment at the batch's size, inverting the model's
-                // own composition rule; the remainder (attention, SFU)
-                // is per-request work.
-                c.memorySerialized = rm.decode.memorySerialized;
-                c.weightCyclesPerToken =
-                    rm.decode.weightStreamCycles / steps;
-                c.linearCyclesPerToken =
-                    rm.decode.linearWorkCycles / steps;
-                const double linear_segment =
-                    accel::composedLinearCycles(
-                        rm.decode.weightStreamCycles,
-                        rm.decode.linearWorkCycles, c.memorySerialized);
-                c.fixedCyclesPerToken =
-                    rm.decode.fixedStepCycles / steps;
-                c.otherCyclesPerToken =
-                    std::max(0.0, rm.decode.cycles - linear_segment -
-                                      rm.decode.fixedStepCycles) /
-                    steps;
-                const double decode_joules =
-                    rm.decode.energy.totalPj() * 1e-12 * procs;
-                const double wf = weightEnergyFraction(rm.decode);
-                c.weightJoulesPerToken = decode_joules * wf / steps;
-                c.otherJoulesPerToken =
-                    decode_joules * (1.0 - wf) / steps;
-            }
-            if (deg != nullptr) {
-                // Price the degraded-topology twin through the same
-                // plan cache under its own identity, splitting
-                // the streams exactly as above so degraded decode
-                // windows compose the same way healthy ones do.
-                const accel::RunMetrics &rmd = planCache_->metrics(
-                    degradedIdentity_, m, w,
-                    [&] { return deg->run(m, w); });
-                fatalIf(rmd.clockGhz != rm.clockGhz,
-                        "degraded accelerator must run at the primary "
-                        "accelerator's clock (cycle timelines merge)");
-                const double procsd =
-                    static_cast<double>(rmd.processors);
-                c.prefillCyclesDeg = rmd.prefill.cycles;
-                c.basePrefillCyclesDeg = rmd.prefill.cycles;
-                c.basePrefillJoulesDeg =
-                    rmd.prefill.energy.totalPj() * 1e-12 * procsd;
-                c.pendingPrefillJoulesDeg = c.basePrefillJoulesDeg;
-                c.stagesDeg = stages_deg;
-                if (req.decodeLen > 0) {
-                    const double steps =
-                        static_cast<double>(req.decodeLen);
-                    c.memorySerializedDeg = rmd.decode.memorySerialized;
-                    c.weightCyclesPerTokenDeg =
-                        rmd.decode.weightStreamCycles / steps;
-                    c.linearCyclesPerTokenDeg =
-                        rmd.decode.linearWorkCycles / steps;
-                    const double linear_segment_deg =
-                        accel::composedLinearCycles(
-                            rmd.decode.weightStreamCycles,
-                            rmd.decode.linearWorkCycles,
-                            c.memorySerializedDeg);
-                    c.fixedCyclesPerTokenDeg =
-                        rmd.decode.fixedStepCycles / steps;
-                    c.otherCyclesPerTokenDeg =
-                        std::max(0.0,
-                                 rmd.decode.cycles - linear_segment_deg -
-                                     rmd.decode.fixedStepCycles) /
-                        steps;
-                    const double decode_joules_deg =
-                        rmd.decode.energy.totalPj() * 1e-12 * procsd;
-                    const double wfd = weightEnergyFraction(rmd.decode);
-                    c.weightJoulesPerTokenDeg =
-                        decode_joules_deg * wfd / steps;
-                    c.otherJoulesPerTokenDeg =
-                        decode_joules_deg * (1.0 - wfd) / steps;
-                }
-            }
             c.remainingTokens = req.decodeLen;
             return line;
         },
@@ -329,49 +307,27 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     // ---- Discrete-event loop under the selected policies ----------------
     // The paged policy re-prices a preempted request's recompute —
     // its prompt plus every generated token, replayed as one prefill
-    // — through the accelerator's own prefill path, so recompute
-    // cycles and energy follow the same model as first admission.
-    // The model and the prefill-only shape were resolved at costing,
-    // and the price goes through the plan cache: preemptions at the
-    // same resident length (recompute prices repeat heavily) compute
-    // once.
+    // — through the prefill path of each topology's accelerator, so
+    // recompute cycles and energy follow the same model as first
+    // admission. The model and the prefill-only shape were resolved at
+    // costing, and the price goes through the plan cache: preemptions
+    // at the same resident length (recompute prices repeat heavily)
+    // compute once.
     PrefillPricer repricer;
     if (opts_.kvPolicy == KvPolicy::Paged)
-        repricer = [this](const CostedRequest &c, std::size_t tokens) {
+        repricer = [this](const CostedRequest &c, std::size_t tokens,
+                          Topology topology) {
             model::Workload w = c.recomputeShape;
             w.promptLen = tokens;
-            const accel::RunMetrics &rm = planCache_->metrics(
-                planIdentity_, *c.model, w,
-                [&] { return accel_->run(*c.model, w); });
+            const accel::RunMetrics &rm = runOn(topology, *c.model, w);
             PrefillPrice price;
             price.cycles = rm.prefill.cycles;
-            price.joules = rm.prefill.energy.totalPj() * 1e-12 *
-                           static_cast<double>(rm.processors);
-            return price;
-        };
-    // Degraded twin of the recompute re-pricer, so a paged preemption
-    // keeps both prefill prices fresh whatever mode the re-admission
-    // lands in.
-    PrefillPricer repricerDeg;
-    if (opts_.kvPolicy == KvPolicy::Paged && faults.enabled &&
-        faults.hasDegraded)
-        repricerDeg = [this](const CostedRequest &c,
-                             std::size_t tokens) {
-            model::Workload w = c.recomputeShape;
-            w.promptLen = tokens;
-            const accel::RunMetrics &rm = planCache_->metrics(
-                degradedIdentity_, *c.model, w, [&] {
-                    return opts_.degradedAccel->run(*c.model, w);
-                });
-            PrefillPrice price;
-            price.cycles = rm.prefill.cycles;
-            price.joules = rm.prefill.energy.totalPj() * 1e-12 *
-                           static_cast<double>(rm.processors);
+            price.joules = prefillJoules(rm);
             return price;
         };
     const EventCore core(*scheduler, opts_.maxBatch, kvOptions(),
                          std::move(repricer), opts_.stepMode,
-                         std::move(faults), std::move(repricerDeg));
+                         std::move(faults));
     EventStats stats = core.run(costed.costs);
 
     // ---- Aggregate ------------------------------------------------------

@@ -53,6 +53,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -127,11 +128,10 @@ struct ServingOptions
      */
     std::size_t costingThreads = 0;
     /**
-     * Decode-iteration stepping of the event core: Auto resolves the
-     * MCBP_SERVING_STEP environment variable (default: coalesced).
-     * See event_core.hpp for the equivalence contract.
+     * Decode-iteration stepping of the event core. See event_core.hpp
+     * for the coalesced == per-token equivalence contract.
      */
-    StepMode stepMode = StepMode::Auto;
+    StepMode stepMode = StepMode::Coalesced;
     /**
      * Fault injection (sim/fault_model.hpp). Defaults off; a disabled
      * spec skips every fault branch and the report is bit-identical
@@ -377,16 +377,23 @@ class ServingSimulator
 
   private:
     KvOptions kvOptions() const;
+    /** The accelerator serving @p topology. */
+    const Accelerator &accelOn(Topology topology) const;
+    /** The plan-cached batch-1 run of (@p m, @p w) on @p topology. */
+    const accel::RunMetrics &runOn(Topology topology,
+                                   const model::LlmConfig &m,
+                                   const model::Workload &w) const;
 
     const Accelerator *accel_;
     ServingOptions opts_;
     std::shared_ptr<accel::PlanCache> planCache_;
-    /** The accelerator's name + configSummary (every knob that changes
-     *  pricing), interned once: the plan-cache key's identity. */
-    accel::PlanCache::Identity planIdentity_;
-    /** Same, for the degraded accelerator (unset when none): both
-     *  topologies share planCache_ under distinct identities. */
-    accel::PlanCache::Identity degradedIdentity_;
+    /** Topologies every request is priced on: 1, or kTopologies when
+     *  faults are armed and a degraded accelerator was supplied. */
+    std::size_t topologies_ = 1;
+    /** Each priced topology's name + configSummary (every knob that
+     *  changes pricing), interned once: the plan-cache key's identity.
+     *  Both topologies share planCache_ under distinct identities. */
+    std::array<accel::PlanCache::Identity, kTopologies> identity_{};
 };
 
 } // namespace mcbp::engine

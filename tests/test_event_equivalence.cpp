@@ -17,7 +17,7 @@
  *    the scheduler saw a lazy AdmissionView, and FIFO really takes the
  *    blocked-head deferral path (a different-model head with
  *    admissible peers behind it);
- *  - MCBP_SERVING_STEP spelling is validated (fatal on junk).
+ *  - both step modes keep their canonical spellings.
  */
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -435,23 +434,10 @@ TEST(EventEquivalence, OverloadFifoTakesBlockedHeadDeferral)
     EXPECT_EQ(stats.admissionCandidates, report.admissionCandidates);
 }
 
-TEST(EventEquivalence, StepModeSpellingsAndEnvValidation)
+TEST(EventEquivalence, StepModeSpellings)
 {
     EXPECT_EQ(toString(StepMode::Coalesced), "coalesced");
     EXPECT_EQ(toString(StepMode::PerToken), "per-token");
-
-    // Env resolution: unset/empty -> coalesced; junk is fatal.
-    unsetenv("MCBP_SERVING_STEP");
-    EXPECT_EQ(stepModeFromEnv(), StepMode::Coalesced);
-    setenv("MCBP_SERVING_STEP", "", 1);
-    EXPECT_EQ(stepModeFromEnv(), StepMode::Coalesced);
-    setenv("MCBP_SERVING_STEP", "per-token", 1);
-    EXPECT_EQ(stepModeFromEnv(), StepMode::PerToken);
-    setenv("MCBP_SERVING_STEP", "coalesced", 1);
-    EXPECT_EQ(stepModeFromEnv(), StepMode::Coalesced);
-    setenv("MCBP_SERVING_STEP", "warp-speed", 1);
-    EXPECT_THROW((void)stepModeFromEnv(), std::runtime_error);
-    unsetenv("MCBP_SERVING_STEP");
 }
 
 } // namespace

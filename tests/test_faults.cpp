@@ -17,6 +17,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,6 +59,24 @@ transientFailAt(double at, double repairSeconds)
     e.repairAt = at + repairSeconds;
     spec.events.push_back(e);
     return spec;
+}
+
+/** Every field of @p a and @p b bit-identical. */
+void
+expectPricesIdentical(const TopologyPrice &a, const TopologyPrice &b)
+{
+    EXPECT_EQ(a.prefillCycles, b.prefillCycles);
+    EXPECT_EQ(a.basePrefillCycles, b.basePrefillCycles);
+    EXPECT_EQ(a.basePrefillJoules, b.basePrefillJoules);
+    EXPECT_EQ(a.pendingPrefillJoules, b.pendingPrefillJoules);
+    EXPECT_EQ(a.weightCyclesPerToken, b.weightCyclesPerToken);
+    EXPECT_EQ(a.linearCyclesPerToken, b.linearCyclesPerToken);
+    EXPECT_EQ(a.otherCyclesPerToken, b.otherCyclesPerToken);
+    EXPECT_EQ(a.fixedCyclesPerToken, b.fixedCyclesPerToken);
+    EXPECT_EQ(a.weightJoulesPerToken, b.weightJoulesPerToken);
+    EXPECT_EQ(a.otherJoulesPerToken, b.otherJoulesPerToken);
+    EXPECT_EQ(a.memorySerialized, b.memorySerialized);
+    EXPECT_EQ(a.stages, b.stages);
 }
 
 TEST(FaultModel, TimelineDeterministicAndSeedSeparated)
@@ -198,20 +218,48 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         const CostedRequest &h = healthy.costs[i];
         const CostedRequest &f = injected.costs[i];
         EXPECT_EQ(h.arrivalCycles, f.arrivalCycles);
-        EXPECT_EQ(h.prefillCycles, f.prefillCycles);
-        EXPECT_EQ(h.weightCyclesPerToken, f.weightCyclesPerToken);
-        EXPECT_EQ(h.linearCyclesPerToken, f.linearCyclesPerToken);
-        EXPECT_EQ(h.otherCyclesPerToken, f.otherCyclesPerToken);
-        EXPECT_EQ(h.fixedCyclesPerToken, f.fixedCyclesPerToken);
-        EXPECT_EQ(h.weightJoulesPerToken, f.weightJoulesPerToken);
-        EXPECT_EQ(h.otherJoulesPerToken, f.otherJoulesPerToken);
         EXPECT_EQ(h.kvBytes, f.kvBytes);
-        // The prefill charge is deferred to admission, not re-priced:
-        // the same double, accumulated at the same position.
+        // Both runs defer the prefill charge to admission: nothing is
+        // accumulated at costing, and every price field is the same
+        // double on both topologies.
+        EXPECT_EQ(h.joules, 0.0);
         EXPECT_EQ(f.joules, 0.0);
-        EXPECT_EQ(h.joules, f.pendingPrefillJoules);
-        EXPECT_EQ(f.basePrefillCycles, f.prefillCycles);
+        for (std::size_t t = 0; t < kTopologies; ++t) {
+            SCOPED_TRACE(t);
+            expectPricesIdentical(h.price[t], f.price[t]);
+        }
+        EXPECT_EQ(f.price[kHealthy].basePrefillCycles,
+                  f.price[kHealthy].prefillCycles);
+        EXPECT_EQ(f.price[kHealthy].pendingPrefillJoules,
+                  f.price[kHealthy].basePrefillJoules);
     }
+}
+
+TEST(FaultServing, DegradedTwinIsTheDegradedAcceleratorsHealthyPrice)
+{
+    // The degraded record is built the same way as the healthy one,
+    // so pricing a request on D as the fleet's fallback and pricing it
+    // on D as the primary give the same bits, field for field.
+    const auto trace = smallTrace();
+    Registry registry;
+    const std::string spec = "mcbp:pp=2,tp=2";
+    const auto accel = registry.make(spec);
+    const auto degraded = registry.make(degradedSpec(spec));
+
+    ServingOptions failover;
+    failover.degradedAccel = degraded.get();
+    failover.faults = transientFailAt(1.0, 0.5);
+    const auto twin = ServingSimulator(*accel, failover).costTrace(trace);
+    const auto direct = ServingSimulator(*degraded).costTrace(trace);
+    ASSERT_EQ(twin.costs.size(), direct.costs.size());
+    for (std::size_t i = 0; i < twin.costs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectPricesIdentical(twin.costs[i].price[kDegraded],
+                              direct.costs[i].price[kHealthy]);
+    }
+    // And the fallback really is a different price from the primary.
+    EXPECT_NE(twin.costs[0].price[kDegraded].prefillCycles,
+              twin.costs[0].price[kHealthy].prefillCycles);
 }
 
 TEST(FaultServing, ZeroEventRunBitIdenticalToPlainRun)
@@ -432,6 +480,143 @@ TEST(FaultServing, StragglerAndLinkWindowsSlowWithoutKilling)
     EXPECT_EQ(r.requests.size(), trace.size());
     EXPECT_GT(r.makespanSeconds, healthy.makespanSeconds);
     EXPECT_EQ(r.tokensPerSecond, r.goodputTokensPerSecond);
+}
+
+/** FNV-1a over the bit pattern of every per-request double, every
+ *  report aggregate and every decision/fault log of @p r: any change
+ *  to a single bit of the serving outcome moves it. */
+std::uint64_t
+reportDigest(const ServingReport &r)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto word = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    auto bits = [&word](double v) {
+        std::uint64_t b = 0;
+        std::memcpy(&b, &v, sizeof b);
+        word(b);
+    };
+    auto log = [&word](const std::vector<std::size_t> &ids) {
+        word(ids.size());
+        for (std::size_t id : ids)
+            word(id);
+    };
+    word(r.requests.size());
+    for (const RequestMetrics &m : r.requests) {
+        word(m.id);
+        for (double v : {m.arrivalSeconds, m.admissionSeconds,
+                         m.firstTokenSeconds, m.completionSeconds,
+                         m.kvBytes, m.joules})
+            bits(v);
+        for (std::size_t v : {m.decodeTokens, m.preemptions,
+                              m.recomputedTokens, m.retries})
+            word(v);
+        word(m.sloMiss);
+    }
+    for (double v :
+         {r.makespanSeconds, r.busySeconds, r.serialSeconds,
+          r.serialJoules, r.meanLatencySeconds, r.p50LatencySeconds,
+          r.p90LatencySeconds, r.p99LatencySeconds, r.p50QueueSeconds,
+          r.p90QueueSeconds, r.p99QueueSeconds, r.p50FirstTokenSeconds,
+          r.p90FirstTokenSeconds, r.p99FirstTokenSeconds,
+          r.meanTpotSeconds, r.tokensPerSecond, r.joulesPerToken,
+          r.meanBatchOccupancy, r.kvPeakBytes, r.kvUtilization,
+          r.kvBlockUtilization, r.kvFragmentationPeakBytes,
+          r.faultRecomputeSeconds, r.degradedSeconds, r.outageSeconds,
+          r.degradedFraction, r.goodputTokensPerSecond, r.sloAttainment})
+        bits(v);
+    for (std::size_t v :
+         {r.peakBatch, r.preemptions, r.recomputedTokens,
+          r.decodeIterations, r.decodeWindows, r.admissionCandidates,
+          r.faultEvents, r.killedInFlight, r.retriesScheduled,
+          r.droppedRequests, r.faultLostTokens})
+        word(v);
+    word(r.noCompletions);
+    log(r.admissionOrder);
+    log(r.preemptionOrder);
+    log(r.retryOrder);
+    log(r.dropOrder);
+    word(r.faultLog.size());
+    for (const ServingReport::FaultImpact &f : r.faultLog) {
+        word(f.eventId);
+        bits(f.seconds);
+        word(f.chip);
+        word(f.permanent);
+        word(f.killed);
+        word(f.dropped);
+    }
+    return h;
+}
+
+TEST(FaultServing, DegradedPathGoldenBits)
+{
+    // No benchmark workload serves on a degraded topology, so this
+    // pins every bit of it: a pp=2 x tp=2 fleet that degrades on a
+    // transient chip failure, recovers, then loses a chip for good
+    // and serves the rest of the trace degraded, under reserve and
+    // under a paged pool small enough to preempt.
+    const auto trace = smallTrace(24, 50.0);
+    Registry registry;
+    const std::string spec = "mcbp:pp=2,tp=2";
+    const auto accel = registry.make(spec);
+    const auto degraded = registry.make(degradedSpec(spec));
+
+    ServingOptions plain;
+    plain.maxBatch = 8;
+    plain.stepMode = StepMode::Coalesced;
+    const double T =
+        ServingSimulator(*accel, plain).simulate(trace).makespanSeconds;
+    ASSERT_GT(T, 0.0);
+
+    ServingOptions opts = plain;
+    opts.degradedAccel = degraded.get();
+    opts.faults = transientFailAt(T / 4.0, T / 10.0);
+    sim::FaultEvent loss;
+    loss.at = T / 2.0;
+    loss.kind = sim::FaultKind::ChipFail;
+    loss.chip = 1;
+    loss.permanent = true;
+    opts.faults.events.push_back(loss);
+
+    // Captured from the engine before the per-topology price record
+    // replaced CostedRequest's degraded twin fields.
+    struct Cell
+    {
+        KvPolicy kv;
+        std::uint64_t digest;
+    };
+    const Cell cells[] = {
+        {KvPolicy::Reserve, 0xd48424c2b24ec633ull},
+        {KvPolicy::Paged, 0xcbbb58ec0ee3055bull},
+    };
+    for (const Cell &cell : cells) {
+        ServingOptions o = opts;
+        o.kvPolicy = cell.kv;
+        if (cell.kv == KvPolicy::Paged) {
+            ServingOptions probe = plain;
+            probe.kvPolicy = KvPolicy::Paged;
+            o.kvCapacityBytes =
+                ServingSimulator(*accel, probe).simulate(trace).kvPeakBytes /
+                4.0;
+        }
+        const ServingReport r = ServingSimulator(*accel, o).simulate(trace);
+        SCOPED_TRACE(toString(cell.kv));
+        // The run must reach every degraded-path branch it pins.
+        EXPECT_EQ(r.faultEvents, 3u); // Fail + repair + permanent loss.
+        EXPECT_GT(r.killedInFlight, 0u);
+        EXPECT_GT(r.degradedSeconds, 0.0);
+        EXPECT_EQ(r.outageSeconds, 0.0);
+        EXPECT_EQ(r.requests.size(), trace.size());
+        if (cell.kv == KvPolicy::Paged) {
+            EXPECT_GT(r.preemptions, 0u);
+        }
+        EXPECT_EQ(reportDigest(r), cell.digest)
+            << std::hex << "0x" << reportDigest(r);
+    }
 }
 
 TEST(Health, DegradedSpecRewritesTopologies)

@@ -112,13 +112,16 @@ expectCostsBitIdentical(const engine::ServingSimulator::CostedTrace &a,
         const engine::CostedRequest &y = b.costs[i];
         EXPECT_EQ(x.req->id, y.req->id);
         EXPECT_EQ(x.arrivalCycles, y.arrivalCycles);
-        EXPECT_EQ(x.prefillCycles, y.prefillCycles);
-        EXPECT_EQ(x.weightCyclesPerToken, y.weightCyclesPerToken);
-        EXPECT_EQ(x.linearCyclesPerToken, y.linearCyclesPerToken);
-        EXPECT_EQ(x.otherCyclesPerToken, y.otherCyclesPerToken);
-        EXPECT_EQ(x.fixedCyclesPerToken, y.fixedCyclesPerToken);
-        EXPECT_EQ(x.weightJoulesPerToken, y.weightJoulesPerToken);
-        EXPECT_EQ(x.otherJoulesPerToken, y.otherJoulesPerToken);
+        const engine::TopologyPrice &xp = x.price[engine::kHealthy];
+        const engine::TopologyPrice &yp = y.price[engine::kHealthy];
+        EXPECT_EQ(xp.prefillCycles, yp.prefillCycles);
+        EXPECT_EQ(xp.pendingPrefillJoules, yp.pendingPrefillJoules);
+        EXPECT_EQ(xp.weightCyclesPerToken, yp.weightCyclesPerToken);
+        EXPECT_EQ(xp.linearCyclesPerToken, yp.linearCyclesPerToken);
+        EXPECT_EQ(xp.otherCyclesPerToken, yp.otherCyclesPerToken);
+        EXPECT_EQ(xp.fixedCyclesPerToken, yp.fixedCyclesPerToken);
+        EXPECT_EQ(xp.weightJoulesPerToken, yp.weightJoulesPerToken);
+        EXPECT_EQ(xp.otherJoulesPerToken, yp.otherJoulesPerToken);
         EXPECT_EQ(x.kvBytes, y.kvBytes);
         EXPECT_EQ(x.kvBytesPerToken, y.kvBytesPerToken);
         EXPECT_EQ(x.remainingTokens, y.remainingTokens);
