@@ -6,8 +6,8 @@
  *
  * Sections:
  *  1. Trace costing — the per-request pricing loop, serial
- *     (costingThreads = 1, cold plan cache) vs the parallel
- *     singleflight fan-out (costingThreads = 0, cold plan cache).
+ *     (costingThreads = 1) vs the parallel fan-out (costingThreads =
+ *     0), each pricing every request from its prepared cost.
  *     The costed traces are verified bit-identical always; the >= 4x
  *     speedup gate binds only when the host grants >= 8 hardware
  *     threads (the fan-out cannot win on a 1-2 core runner), and the
@@ -26,8 +26,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <iostream>
+#include <set>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -39,13 +42,31 @@ using namespace mcbp;
 
 namespace {
 
-double
-seconds(const std::function<void()> &fn)
+/** Wall and process CPU seconds of one call. CPU time well above wall
+ *  time means threads ran at once; CPU time equal to wall time means
+ *  the host ran them one at a time, whatever the thread count. */
+struct Timing
 {
+    double wall = 0.0;
+    double cpu = 0.0;
+};
+
+Timing
+timed(const std::function<void()> &fn)
+{
+    const std::clock_t c0 = std::clock();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
+    const std::clock_t c1 = std::clock();
+    return {std::chrono::duration<double>(t1 - t0).count(),
+            static_cast<double>(c1 - c0) / CLOCKS_PER_SEC};
+}
+
+double
+seconds(const std::function<void()> &fn)
+{
+    return timed(fn).wall;
 }
 
 /** Relative agreement of two aggregates (coalescing drift check). */
@@ -134,8 +155,8 @@ main(int argc, char **argv)
     engine::Registry registry;
     auto accel = registry.make("mcbp");
 
-    // ---- Section 1: parallel memoized trace costing ------------------
-    bench::banner("Trace costing: serial vs parallel singleflight");
+    // ---- Section 1: parallel trace costing ---------------------------
+    bench::banner("Trace costing: serial vs parallel fan-out");
     model::TraceConfig tc;
     tc.model = "OPT1B3";
     tc.task = "Dolly";
@@ -145,8 +166,9 @@ main(int argc, char **argv)
     const auto costing_trace = model::synthesizeTrace(tc);
 
     // Warm the profile cache once, untimed: both timed runs then pay
-    // only the plan-level folds, the layer this PR parallelizes. Each
-    // timed run gets a fresh simulator so its plan cache is cold.
+    // only the per-request pricing from prepared costs (plus preparing
+    // the trace's handful of costs), the layer the fan-out
+    // parallelizes.
     {
         engine::ServingOptions warm;
         warm.costingThreads = 1;
@@ -157,15 +179,17 @@ main(int argc, char **argv)
     serial_opts.costingThreads = 1;
     engine::ServingSimulator serial_sim(*accel, serial_opts);
     engine::ServingSimulator::CostedTrace serial_costs;
-    const double serial_s = seconds(
+    const Timing serial_t = timed(
         [&] { serial_costs = serial_sim.costTrace(costing_trace); });
+    const double serial_s = serial_t.wall;
 
     engine::ServingOptions par_opts;
     par_opts.costingThreads = 0; // full pool.
     engine::ServingSimulator par_sim(*accel, par_opts);
     engine::ServingSimulator::CostedTrace par_costs;
-    const double par_s =
-        seconds([&] { par_costs = par_sim.costTrace(costing_trace); });
+    const Timing par_t =
+        timed([&] { par_costs = par_sim.costTrace(costing_trace); });
+    const double par_s = par_t.wall;
 
     const double cost_speedup = par_s > 0.0 ? serial_s / par_s : 1.0;
     const bool cost_identical = costsIdentical(serial_costs, par_costs);
@@ -179,13 +203,19 @@ main(int argc, char **argv)
         !no_slower_enforced || cost_speedup >= 1.0;
     all_gates = all_gates && cost_gate && no_slower_gate;
 
+    std::set<std::pair<std::size_t, std::size_t>> shapes;
+    for (const model::Request &r : costing_trace)
+        shapes.emplace(r.promptLen, r.decodeLen);
     std::printf("  requests %zu  distinct shapes %zu  threads %zu\n",
-                costing_trace.size(), par_sim.planCache()->size(),
+                costing_trace.size(), shapes.size(),
                 parallel::hardwareThreads());
-    std::printf("  serial    %8.3f s  (%.0f req/s)\n", serial_s,
-                serial_s > 0.0 ? costing_trace.size() / serial_s : 0.0);
-    std::printf("  parallel  %8.3f s  (%.0f req/s)\n", par_s,
-                par_s > 0.0 ? costing_trace.size() / par_s : 0.0);
+    std::printf("  serial    %8.4f s  (%.0f req/s)  cpu %.4f s\n",
+                serial_s,
+                serial_s > 0.0 ? costing_trace.size() / serial_s : 0.0,
+                serial_t.cpu);
+    std::printf("  parallel  %8.4f s  (%.0f req/s)  cpu %.4f s\n", par_s,
+                par_s > 0.0 ? costing_trace.size() / par_s : 0.0,
+                par_t.cpu);
     std::printf("  speedup   %8.2fx   bit-identical: %s\n", cost_speedup,
                 cost_identical ? "yes" : "NO (BUG)");
     if (!cost_gate_enforced)
@@ -205,10 +235,12 @@ main(int argc, char **argv)
     json.begin()
         .field("section", "trace_costing")
         .field("requests", costing_trace.size())
-        .field("distinct_shapes", par_sim.planCache()->size())
+        .field("distinct_shapes", shapes.size())
         .field("threads", parallel::hardwareThreads())
         .field("serial_s", serial_s)
         .field("parallel_s", par_s)
+        .field("serial_cpu_s", serial_t.cpu)
+        .field("parallel_cpu_s", par_t.cpu)
         .field("requests_costed_per_s",
                par_s > 0.0 ? costing_trace.size() / par_s : 0.0)
         .field("speedup", cost_speedup)

@@ -286,10 +286,11 @@ ExecutionPlan
 BaselineAccelerator::plan(const model::LlmConfig &model,
                           const model::Workload &task) const
 {
-    return composePlan(traits_.name, model, task, hw_.clockGhz, 1,
-                       [&](const PhasePlan &p) {
-                           return simulatePhase(p, model);
-                       });
+    return planFromCost(traits_.name, model.name, task.name, model.layers,
+                        composeCost(task, hw_.clockGhz, 1,
+                                    [&](const PhasePlan &p) {
+                                        return simulatePhase(p, model);
+                                    }));
 }
 
 RunMetrics

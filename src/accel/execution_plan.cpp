@@ -1,6 +1,7 @@
 #include "accel/execution_plan.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -105,26 +106,35 @@ ExecutionPlan::slice(std::size_t firstLayer,
 }
 
 ExecutionPlan
-planFromRun(const RunMetrics &rm, std::size_t modelLayers)
+planFromCost(std::string accelerator, std::string modelName,
+             std::string taskName, std::size_t modelLayers,
+             const RunCost &cost)
 {
-    fatalIf(modelLayers == 0, "a plan needs at least one layer");
     ExecutionPlan plan;
-    plan.accelerator = rm.accelerator;
-    plan.modelName = rm.modelName;
-    plan.taskName = rm.taskName;
-    plan.clockGhz = rm.clockGhz;
-    plan.processors = rm.processors;
+    plan.accelerator = std::move(accelerator);
+    plan.modelName = std::move(modelName);
+    plan.taskName = std::move(taskName);
+    plan.clockGhz = cost.clockGhz;
+    plan.processors = cost.processors;
     plan.modelLayers = modelLayers;
-    plan.prefill = rm.prefill;
-    plan.decode = rm.decode;
+    plan.prefill = cost.prefill;
+    plan.decode = cost.decode;
     PlanSegment seg;
     seg.label = "layers[0," + std::to_string(modelLayers) + ")";
     seg.firstLayer = 0;
     seg.layerCount = modelLayers;
-    seg.prefill = rm.prefill;
-    seg.decode = rm.decode;
+    seg.prefill = cost.prefill;
+    seg.decode = cost.decode;
     plan.segments.push_back(std::move(seg));
     return plan;
+}
+
+ExecutionPlan
+planFromRun(const RunMetrics &rm, std::size_t modelLayers)
+{
+    fatalIf(modelLayers == 0, "a plan needs at least one layer");
+    return planFromCost(rm.accelerator, rm.modelName, rm.taskName,
+                        modelLayers, rm);
 }
 
 } // namespace mcbp::accel

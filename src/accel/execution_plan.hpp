@@ -97,6 +97,16 @@ struct ExecutionPlan
 };
 
 /**
+ * Publish an already-composed @p cost as a plan: its phase totals plus
+ * one uniform full-stack layer segment (every analytic model here
+ * prices one layer and multiplies, so per-layer cost is uniform and
+ * the single segment is exactly decomposable — see slice()).
+ */
+ExecutionPlan planFromCost(std::string accelerator, std::string modelName,
+                           std::string taskName, std::size_t modelLayers,
+                           const RunCost &cost);
+
+/**
  * Wrap an already-composed RunMetrics as a single-segment plan (the
  * whole stack in one uniform segment). Used by models that do not
  * price layers individually (the GPU roofline composes phase rooflines

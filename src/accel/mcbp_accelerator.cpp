@@ -286,16 +286,24 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     return out;
 }
 
+RunCost
+McbpAccelerator::cost(const model::LlmConfig &model,
+                      const model::Workload &task, const WeightStats &ws,
+                      const AttentionStats &as) const
+{
+    return composeCost(task, hw_.clockGhz, opts_.processors,
+                       [&](const PhasePlan &p) {
+                           return simulatePhase(p, model, ws, as);
+                       });
+}
+
 ExecutionPlan
 McbpAccelerator::plan(const model::LlmConfig &model,
                       const model::Workload &task) const
 {
-    const WeightStats &ws = weightStats(model);
-    const AttentionStats &as = attentionStats(model, task);
-    return composePlan(name(), model, task, hw_.clockGhz,
-                       opts_.processors, [&](const PhasePlan &p) {
-                           return simulatePhase(p, model, ws, as);
-                       });
+    return planFromCost(name(), model.name, task.name, model.layers,
+                        cost(model, task, weightStats(model),
+                             attentionStats(model, task)));
 }
 
 RunMetrics

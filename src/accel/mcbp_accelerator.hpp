@@ -66,6 +66,16 @@ class McbpAccelerator
     ExecutionPlan plan(const model::LlmConfig &model,
                        const model::Workload &task) const;
 
+    /**
+     * The phase totals of (model, task) from already-resolved profiles
+     * @p ws / @p as (weightStats(model), attentionStats(model, task)):
+     * what plan() publishes, without the plan. plan() and the serving
+     * engine's prepared cost (engine::McbpAdapter::prepare) both price
+     * through this one function.
+     */
+    RunCost cost(const model::LlmConfig &model, const model::Workload &task,
+                 const WeightStats &ws, const AttentionStats &as) const;
+
     /** Simulate one (model, task) inference run (= plan().fold()). */
     RunMetrics run(const model::LlmConfig &model,
                    const model::Workload &task) const;

@@ -12,8 +12,7 @@
  */
 #pragma once
 
-#include <string>
-#include <utility>
+#include <cstddef>
 
 #include "accel/execution_plan.hpp"
 #include "accel/report.hpp"
@@ -49,38 +48,23 @@ double kvSweeps(const sim::McbpConfig &hw, const PhasePlan &plan,
                 double hidden);
 
 /**
- * Compose a full execution plan: simulate prefill, then decode when
- * the task generates tokens, and publish the result as phase totals
- * plus one uniform full-stack layer segment (every analytic model
- * here prices one layer and multiplies, so per-layer cost is uniform
- * and the single segment is exactly decomposable — see
- * ExecutionPlan::slice). @p simulate maps a PhasePlan to PhaseMetrics.
+ * Compose a run's phase totals: simulate prefill, then decode when the
+ * task generates tokens. @p simulate maps a PhasePlan to PhaseMetrics.
+ * Every model's plan() publishes it with planFromCost(), and a
+ * prepared cost's price() returns it directly.
  */
 template <typename SimulateFn>
-ExecutionPlan
-composePlan(std::string acceleratorName, const model::LlmConfig &model,
-            const model::Workload &task, double clockGhz,
+RunCost
+composeCost(const model::Workload &task, double clockGhz,
             std::size_t processors, SimulateFn &&simulate)
 {
-    ExecutionPlan plan;
-    plan.accelerator = std::move(acceleratorName);
-    plan.modelName = model.name;
-    plan.taskName = task.name;
-    plan.clockGhz = clockGhz;
-    plan.processors = processors;
-    plan.modelLayers = model.layers;
-    plan.prefill = simulate(prefillPlan(task));
+    RunCost cost;
+    cost.clockGhz = clockGhz;
+    cost.processors = processors;
+    cost.prefill = simulate(prefillPlan(task));
     if (task.decodeLen > 0)
-        plan.decode = simulate(decodePlan(task));
-    PlanSegment seg;
-    seg.label = "layers[0," + std::to_string(model.layers) + ")";
-    seg.firstLayer = 0;
-    seg.layerCount = model.layers;
-    seg.prefill = plan.prefill;
-    seg.decode = plan.decode;
-    plan.segments.push_back(std::move(seg));
-    return plan;
+        cost.decode = simulate(decodePlan(task));
+    return cost;
 }
-
 
 } // namespace mcbp::accel

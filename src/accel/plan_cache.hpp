@@ -3,15 +3,16 @@
  * Thread-safe, singleflight cache of folded execution-plan costs
  * (RunMetrics) keyed by (accelerator identity, model, workload shape).
  *
- * Serving traces repeat request shapes heavily: a million-request
- * trace drawn from a task zoo with jittered lengths prices only a few
- * thousand distinct (model, prompt, decode) shapes, and the paged
- * policy's recompute re-pricer hits the same prefill-only shapes on
- * every preemption. Accelerator::run() is deterministic in its inputs,
- * so the fold is computed once per key and shared, which is what makes
- * the costing loop safely parallel: threads racing on a cold key block
- * on the one in-flight computation and every thread reads the same
- * bits afterwards.
+ * The serving engine's paged recompute re-pricer is its one user: it
+ * hits the same prefill-only shapes on every preemption at equal
+ * resident lengths, so those prices repeat. First costing does not
+ * come here: a trace with jittered lengths is mostly distinct
+ * (prompt, decode) shapes, so a memo would cost more than it saves,
+ * and each request is priced from a prepared cost instead
+ * (engine::Accelerator::prepare). Accelerator::run() is deterministic
+ * in its inputs, so the fold is computed once per key and shared:
+ * threads racing on a cold key block on the one in-flight computation
+ * and every thread reads the same bits afterwards.
  *
  * Keys are typed and compared field by field, exactly:
  *  - the accelerator identity is interned once (intern(): name plus

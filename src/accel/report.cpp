@@ -22,13 +22,13 @@ PhaseMetrics::merge(const PhaseMetrics &o)
 }
 
 double
-RunMetrics::seconds() const
+RunCost::seconds() const
 {
     return totalCycles() / (clockGhz * 1e9);
 }
 
 double
-RunMetrics::joules() const
+RunCost::joules() const
 {
     return (prefill.energy.totalPj() + decode.energy.totalPj()) * 1e-12 *
            static_cast<double>(processors);

@@ -95,12 +95,13 @@ struct PhaseMetrics
     void merge(const PhaseMetrics &o);
 };
 
-/** A full run = prefill + decode. */
-struct RunMetrics
+/**
+ * The numbers of a full run (prefill + decode) without its labels:
+ * what a prepared cost prices per request shape
+ * (engine::PreparedCost) and what the serving engine reads.
+ */
+struct RunCost
 {
-    std::string accelerator;
-    std::string modelName;
-    std::string taskName;
     PhaseMetrics prefill;
     PhaseMetrics decode;
     double clockGhz = 1.0;
@@ -125,6 +126,14 @@ struct RunMetrics
 
     /** Total energy in joules (per-chip energy x processors). */
     double joules() const;
+};
+
+/** A full run = prefill + decode, labelled with what ran. */
+struct RunMetrics : RunCost
+{
+    std::string accelerator;
+    std::string modelName;
+    std::string taskName;
 
     /** Average power in watts. */
     double watts() const;

@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -7,6 +8,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "common/annotations.hpp"
 #include "common/env.hpp"
@@ -15,22 +22,28 @@ namespace mcbp::parallel {
 
 namespace {
 
+/** Bytes that keep two hot atomics from sharing a cache line. */
+constexpr std::size_t kCacheLine = 64;
+
 /**
- * One parallelFor invocation. Indices are claimed with an atomic
- * cursor; the submitter and up to helperCap pool workers execute them.
- * finished counts completed iterations so the submitter can block
- * until the last in-flight body returns (claim exhaustion alone is not
- * enough: another thread may still be inside body).
+ * One parallelFor invocation. Contiguous chunks of indices are claimed
+ * with an atomic cursor; the submitter and up to helperCap pool workers
+ * execute them. finished counts completed iterations so the submitter
+ * can block until the last in-flight body returns (claim exhaustion
+ * alone is not enough: another thread may still be inside body). The
+ * cursor and the counter sit on separate cache lines, so claims do not
+ * contend with completions.
  */
 struct Batch
 {
     std::size_t n = 0;
+    std::size_t chunk = 1; ///< Indices per claim.
     const std::function<void(std::size_t)> *body = nullptr;
     std::size_t helperCap = 0; ///< Pool workers allowed in (guarded).
     std::size_t helpers = 0;   ///< Pool workers admitted (guarded).
 
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> finished{0};
+    alignas(kCacheLine) std::atomic<std::size_t> next{0};
+    alignas(kCacheLine) std::atomic<std::size_t> finished{0};
 
     Mutex mutex;
     CondVar done;
@@ -50,20 +63,24 @@ struct Batch
     help()
     {
         for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
+            const std::size_t first =
+                next.fetch_add(chunk, std::memory_order_relaxed);
+            if (first >= n)
                 return;
-            try {
-                (*body)(i);
-            } catch (...) {
-                MutexLock lock(mutex);
-                if (i < errorIndex) {
-                    errorIndex = i;
-                    error = std::current_exception();
+            const std::size_t last = std::min(n, first + chunk);
+            for (std::size_t i = first; i < last; ++i) {
+                try {
+                    (*body)(i);
+                } catch (...) {
+                    MutexLock lock(mutex);
+                    if (i < errorIndex) {
+                        errorIndex = i;
+                        error = std::current_exception();
+                    }
                 }
             }
-            if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            const std::size_t ran = last - first;
+            if (finished.fetch_add(ran, std::memory_order_acq_rel) + ran ==
                 n) {
                 // Lock pairs with the submitter's predicate check so
                 // the final notify cannot slip into its wait window.
@@ -75,18 +92,79 @@ struct Batch
 };
 
 /**
+ * Indices per claim for @p n iterations over @p participants threads:
+ * about 16 claims per thread, so sub-microsecond bodies amortize the
+ * shared cursor while the tail still balances, clamped to [1, 256].
+ * Below 32 iterations per thread each claim stays one index, so a few
+ * heavy jobs (profiling keys) still spread across threads.
+ */
+std::size_t
+claimChunk(std::size_t n, std::size_t participants)
+{
+    return std::clamp<std::size_t>(n / (participants * 16), 1, 256);
+}
+
+/**
+ * The CPUs the process may run on, in ascending order (empty where the
+ * platform offers no affinity mask).
+ */
+std::vector<int>
+allowedCpus()
+{
+    std::vector<int> cpus;
+#if defined(__linux__)
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &mask))
+                cpus.push_back(c);
+#endif
+    return cpus;
+}
+
+/** Bind the calling thread to @p cpu; a refused binding is ignored
+ *  (the thread then runs wherever the scheduler puts it). */
+void
+bindToCpu([[maybe_unused]] int cpu)
+{
+#if defined(__linux__)
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    (void)pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+#endif
+}
+
+/**
  * Fixed-size worker pool. Workers sleep until a batch with free claims
  * and a free helper slot exists; submitters never sleep while their
  * own batch has unclaimed work.
+ *
+ * Worker t is bound to CPU t mod k of the k CPUs the process may use
+ * (when k > 1). Left to the scheduler, workers can all land on the
+ * CPU that woke them and never migrate: on a 4-vCPU KVM guest, four
+ * unbound compute threads all ran on one vCPU (process CPU time equal
+ * to wall time, 4x a single thread's wall), and a 4,000-item fan-out
+ * ran every item on one thread, slower than the serial loop. Bound,
+ * the same fan-out used four threads and ran about 3x faster than
+ * serial.
  */
 class ThreadPool
 {
   public:
     explicit ThreadPool(std::size_t threads)
     {
+        const std::vector<int> cpus = allowedCpus();
         workers_.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t)
-            workers_.emplace_back([this] { workerLoop(); });
+        for (std::size_t t = 0; t < threads; ++t) {
+            const int cpu = cpus.size() > 1 ? cpus[t % cpus.size()] : -1;
+            workers_.emplace_back([this, cpu] {
+                if (cpu >= 0)
+                    bindToCpu(cpu);
+                workerLoop();
+            });
+        }
     }
 
     ~ThreadPool()
@@ -108,6 +186,8 @@ class ThreadPool
     {
         auto batch = std::make_shared<Batch>();
         batch->n = n;
+        batch->chunk =
+            claimChunk(n, std::min(helperCap, workers_.size()) + 1);
         batch->body = &body;
         batch->helperCap = helperCap;
         {
@@ -126,7 +206,10 @@ class ThreadPool
                 return batch->finished.load(
                            std::memory_order_acquire) == batch->n;
             });
-            error = batch->error;
+            // Moved, not copied: a worker may drop the last reference
+            // to the batch after this returns, and the exception must
+            // then be released by the submitter alone.
+            error = std::move(batch->error);
         }
         {
             MutexLock lock(mutex_);

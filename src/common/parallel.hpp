@@ -14,7 +14,8 @@
  *
  * One lazily-created global pool is shared by the whole process
  * (workers = MCBP_THREADS when set, else std::thread::hardware_
- * concurrency). Submitting threads always participate in their own
+ * concurrency), each worker bound to one CPU of the process's affinity
+ * mask, round-robin. Submitting threads always participate in their own
  * batch, so nested parallelFor calls — a pool worker fanning out again
  * — cannot deadlock: the inner caller drains its own batch even when
  * every worker is busy. Exceptions thrown by iterations are caught,
@@ -45,10 +46,13 @@ std::size_t hardwareThreads();
  *        bit-identity reference path), k > 1 = at most k threads
  *        (the caller plus k-1 pool workers) touch this batch.
  *
- * The calling thread always participates. Iterations may run in any
- * order and concurrently; body must only depend on i and on state it
- * owns. If one or more iterations throw, all others still run and the
- * exception of the lowest index is rethrown here.
+ * The calling thread always participates. Threads claim contiguous
+ * chunks of indices (one index per claim while n is below 32 per
+ * participating thread), so sub-microsecond bodies scale too.
+ * Iterations may run in any order and concurrently; body must only
+ * depend on i and on state it owns. If one or more iterations throw,
+ * all others still run and the exception of the lowest index is
+ * rethrown here.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
                  std::size_t threads = 0);

@@ -79,4 +79,15 @@ double percentile(std::vector<double> samples, double p);
 /** percentile() for an already ascending-sorted sample set (no copy). */
 double percentileSorted(const std::vector<double> &sorted, double p);
 
+/**
+ * percentileSorted(sorted copy of @p samples, p) for every p of
+ * @p ascending (non-decreasing), bit for bit, by selection instead of
+ * a full sort: each quantile costs one nth_element over the part of
+ * @p samples not yet ruled out plus one min_element. Reorders
+ * @p samples. fatal() on an empty sample set, a p outside [0, 1] or a
+ * decreasing p.
+ */
+std::vector<double> percentilesBySelection(std::vector<double> &samples,
+                                           const std::vector<double> &ascending);
+
 } // namespace mcbp

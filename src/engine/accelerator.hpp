@@ -19,9 +19,17 @@
  * topologies build on the decomposition: ClusterAccelerator rescales
  * the plan's phases to tensor-parallel shards, PipelineAccelerator
  * splits its layer segments across pp= stages.
+ *
+ * Serving prices thousands of shapes of one (model, task) and needs
+ * neither the plan nor its labels, so it costs through a third hook:
+ * prepare() resolves once everything independent of the request's
+ * (prompt, decode) lengths, and the returned PreparedCost prices each
+ * shape bit-identically to run(). The default prepares nothing and
+ * calls run() per shape; McbpAdapter resolves its profiles once.
  */
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,6 +88,33 @@ struct Capabilities
     std::size_t replicas = 1;
 };
 
+/**
+ * The costing of one (model, task) on one accelerator with everything
+ * independent of the request shape resolved up front (what
+ * Accelerator::prepare returns). Thread-safe: price() may be called
+ * concurrently. Refers to its accelerator, which must outlive it.
+ */
+class PreparedCost
+{
+  public:
+    PreparedCost() = default;
+    PreparedCost(const PreparedCost &) = delete;
+    PreparedCost &operator=(const PreparedCost &) = delete;
+    virtual ~PreparedCost() = default;
+
+    /**
+     * The batch-1 cost of the prepared task at @p promptLen prompt and
+     * @p decodeLen generated tokens: bit-identical in every phase
+     * field, clock and processor count to run(model, shape), where
+     * shape is the prepared task with those two lengths. @p promptLen
+     * must map to the prepared task's accel::contextBucket (the
+     * profiles a run reads depend on it); designs that resolve their
+     * profiles in prepare() fatal() otherwise.
+     */
+    virtual accel::RunCost price(std::size_t promptLen,
+                                 std::size_t decodeLen) const = 0;
+};
+
 /** Abstract accelerator: one (model, task) inference run at a time. */
 class Accelerator
 {
@@ -116,6 +151,17 @@ class Accelerator
     {
         return plan(model, task).fold();
     }
+
+    /**
+     * Prepare the costing of @p task (and every task equal to it but
+     * for prompt/decode lengths in the same context bucket) on
+     * @p model. The default resolves nothing and prices each shape
+     * with run(); designs whose run() resolves shape-independent
+     * inputs (measured profiles) override it to resolve them once.
+     */
+    virtual std::unique_ptr<const PreparedCost>
+    prepare(const model::LlmConfig &model,
+            const model::Workload &task) const;
 
     /**
      * Append the measured profiles a run(model, task) would demand to

@@ -54,6 +54,50 @@ McbpAdapter::plan(const model::LlmConfig &model,
     return impl_.plan(model, task);
 }
 
+namespace {
+
+/** McbpAccelerator::cost() over profiles resolved at prepare(). */
+class McbpPreparedCost final : public PreparedCost
+{
+  public:
+    McbpPreparedCost(const accel::McbpAccelerator &impl,
+                     const model::LlmConfig &model,
+                     const model::Workload &task)
+        : impl_(impl), model_(model), task_(task),
+          bucket_(accel::contextBucket(task.promptLen)),
+          weights_(impl.weightStats(model)),
+          attention_(impl.attentionStats(model, task))
+    {
+    }
+
+    accel::RunCost
+    price(std::size_t promptLen, std::size_t decodeLen) const override
+    {
+        fatalIf(accel::contextBucket(promptLen) != bucket_,
+                "prepared cost priced outside its context bucket");
+        return impl_.cost(model_,
+                          model::withLengths(task_, promptLen, decodeLen),
+                          weights_, attention_);
+    }
+
+  private:
+    const accel::McbpAccelerator &impl_;
+    model::LlmConfig model_;
+    model::Workload task_;
+    std::size_t bucket_;
+    const accel::WeightStats &weights_;
+    const accel::AttentionStats &attention_;
+};
+
+} // namespace
+
+std::unique_ptr<const PreparedCost>
+McbpAdapter::prepare(const model::LlmConfig &model,
+                     const model::Workload &task) const
+{
+    return std::make_unique<McbpPreparedCost>(impl_, model, task);
+}
+
 void
 McbpAdapter::profileRequests(const model::LlmConfig &model,
                              const model::Workload &task,

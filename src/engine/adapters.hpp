@@ -34,6 +34,11 @@ class McbpAdapter : public Accelerator
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
                               const model::Workload &task) const override;
+    /** Resolves the weight and attention profiles once; each price()
+     *  is then the two per-phase evaluations plan() runs. */
+    std::unique_ptr<const PreparedCost>
+    prepare(const model::LlmConfig &model,
+            const model::Workload &task) const override;
     void profileRequests(
         const model::LlmConfig &model, const model::Workload &task,
         std::vector<accel::ProfileRequest> &out) const override;

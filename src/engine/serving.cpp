@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <memory>
 #include <numeric>
-#include <set>
-#include <string_view>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -38,7 +37,7 @@ weightEnergyFraction(const accel::PhaseMetrics &decode)
 
 /** Prefill energy of a batch-1 run, in joules over all its processors. */
 double
-prefillJoules(const accel::RunMetrics &rm)
+prefillJoules(const accel::RunCost &rm)
 {
     return rm.prefill.energy.totalPj() * 1e-12 *
            static_cast<double>(rm.processors);
@@ -53,7 +52,7 @@ prefillJoules(const accel::RunMetrics &rm)
  * is left pending: admission charges it in the mode it runs in.
  */
 TopologyPrice
-topologyPrice(const accel::RunMetrics &rm, std::size_t decodeLen,
+topologyPrice(const accel::RunCost &rm, std::size_t decodeLen,
               std::size_t stages)
 {
     TopologyPrice p;
@@ -82,34 +81,6 @@ topologyPrice(const accel::RunMetrics &rm, std::size_t decodeLen,
     p.weightJoulesPerToken = decode_joules * wf / steps;
     p.otherJoulesPerToken = decode_joules * (1.0 - wf) / steps;
     return p;
-}
-
-/**
- * Announce to @p accel's profile cache the profiles it needs for
- * @p trace, and warm them on up to @p threads threads. A request's
- * profiles depend on it only through its model, task and context
- * bucket (see accel::contextBucket), so one request per such shape is
- * announced: a million-request trace with jittered lengths announces a
- * handful of entries. A shape missed here is still profiled on demand,
- * with the same bits.
- */
-void
-warmProfiles(const Accelerator &accel,
-             const std::vector<model::Request> &trace, std::size_t threads)
-{
-    const std::shared_ptr<accel::ProfileCache> cache = accel.profileCache();
-    if (!cache)
-        return;
-    std::set<std::tuple<std::string_view, std::string_view, std::size_t>>
-        shapes;
-    std::vector<accel::ProfileRequest> requests;
-    for (const model::Request &req : trace)
-        if (shapes.emplace(req.model, req.task,
-                           accel::contextBucket(req.promptLen))
-                .second)
-            accel.profileRequests(model::findModel(req.model),
-                                  req.workload(), requests);
-    cache->warm(requests, threads);
 }
 
 } // namespace
@@ -164,16 +135,57 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     if (trace.empty())
         return out;
 
-    // ---- Warm the profile cache on all cores ----------------------------
-    // Without this, a cold cache would profile its first-touch keys on
-    // whichever costing thread hits them first. Announcing the trace's
-    // profiling shapes up front lets the cache fan the distinct keys out
-    // over the thread pool (racing engines singleflight), leaving only
-    // cache hits in the costing fan-out below.
+    // ---- Prepare one cost per group of requests ------------------------
+    // Everything a request's price depends on besides its two lengths
+    // is fixed by its model, task and context bucket (the profiles a
+    // run reads; see accel::contextBucket), so requests sharing those
+    // form one group with one prepared cost per topology, and a trace
+    // with jittered lengths prepares a handful. Groups are numbered in
+    // first-occurrence order.
+    struct Group
+    {
+        const model::LlmConfig *model = nullptr;
+        model::Workload task; ///< The first request's workload.
+        std::size_t bucket = 0;
+        std::array<std::unique_ptr<const PreparedCost>, kTopologies> cost;
+    };
+    std::vector<Group> groups;
+    std::vector<std::uint32_t> groupOf(trace.size());
+    std::size_t last = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const model::Request &req = trace[i];
+        const std::size_t bucket = accel::contextBucket(req.promptLen);
+        const auto matches = [&](const Group &g) {
+            return g.bucket == bucket && g.model->name == req.model &&
+                   g.task.name == req.task;
+        };
+        if (groups.empty() || !matches(groups[last])) {
+            last = 0;
+            while (last < groups.size() && !matches(groups[last]))
+                ++last;
+            if (last == groups.size())
+                groups.push_back(
+                    {&model::findModel(req.model), req.workload(), bucket,
+                     {}});
+        }
+        groupOf[i] = static_cast<std::uint32_t>(last);
+    }
+
+    // Warm each topology's profile cache with the groups' profiles on
+    // all cores (racing engines singleflight), then prepare: preparing
+    // resolves profiles, which are all hits by now.
     std::array<std::size_t, kTopologies> stages{};
     for (std::size_t t = 0; t < topologies_; ++t) {
         const Accelerator &a = accelOn(static_cast<Topology>(t));
-        warmProfiles(a, trace, opts_.profileThreads);
+        if (const std::shared_ptr<accel::ProfileCache> cache =
+                a.profileCache()) {
+            std::vector<accel::ProfileRequest> requests;
+            for (const Group &group : groups)
+                a.profileRequests(*group.model, group.task, requests);
+            cache->warm(requests, opts_.profileThreads);
+        }
+        for (Group &group : groups)
+            group.cost[t] = a.prepare(*group.model, group.task);
         // Pipeline stage count for the decode iteration's stage-aware
         // overlap (one accelerator serves the whole trace).
         stages[t] =
@@ -181,71 +193,65 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     }
     const KvOptions kv = kvOptions();
 
-    // ---- Cost each request with a batch-1 run ---------------------------
-    // The fan-out prices each request independently (distinct shapes
-    // compute once in the singleflight plan cache; repeats are hits)
-    // and the join below runs in index order, so every sum and check
-    // accumulates exactly as the serial loop did: the costed trace is
-    // bit-identical at every thread count.
-    struct Line
+    // ---- Price each request with a batch-1 run --------------------------
+    // The fan-out prices each request independently and writes it in
+    // place; the serial sums and clock checks below then run in index
+    // order, so every sum accumulates exactly as a serial loop would:
+    // the costed trace is bit-identical at every thread count.
+    struct Serial
     {
-        CostedRequest cost;
         double seconds = 0.0;
         double joules = 0.0;
         double clockGhz = 0.0;
     };
-    std::vector<Line> lines = parallel::parallelMap<Line>(
+    std::vector<Serial> serial(trace.size());
+    out.costs.resize(trace.size());
+    parallel::parallelFor(
         trace.size(),
         [&](std::size_t i) {
             const model::Request &req = trace[i];
-            const model::LlmConfig &m = model::findModel(req.model);
-            const model::Workload w = req.workload();
-            const accel::RunMetrics &rm = runOn(kHealthy, m, w);
+            const Group &group = groups[groupOf[i]];
+            const accel::RunCost rc =
+                group.cost[kHealthy]->price(req.promptLen, req.decodeLen);
+            serial[i] = {rc.seconds(), rc.joules(), rc.clockGhz};
 
-            Line line;
-            line.seconds = rm.seconds();
-            line.joules = rm.joules();
-            line.clockGhz = rm.clockGhz;
-            CostedRequest &c = line.cost;
+            CostedRequest &c = out.costs[i];
             c.req = &req;
-            c.model = &m;
-            c.recomputeShape = w;
-            c.recomputeShape.decodeLen = 0;
-            c.arrivalCycles = req.arrivalSeconds * rm.clockGhz * 1e9;
+            c.model = group.model;
+            c.recomputeShape =
+                model::withLengths(group.task, req.promptLen, 0);
+            c.arrivalCycles = req.arrivalSeconds * rc.clockGhz * 1e9;
             c.price[kHealthy] =
-                topologyPrice(rm, req.decodeLen, stages[kHealthy]);
+                topologyPrice(rc, req.decodeLen, stages[kHealthy]);
             if (topologies_ > 1) {
-                // The degraded twin goes through the same plan cache
-                // under its own identity and is split the same way,
+                // The degraded twin is priced and split the same way,
                 // so degraded decode windows compose like healthy ones.
-                const accel::RunMetrics &rmd = runOn(kDegraded, m, w);
-                fatalIf(rmd.clockGhz != rm.clockGhz,
+                const accel::RunCost rcd = group.cost[kDegraded]->price(
+                    req.promptLen, req.decodeLen);
+                fatalIf(rcd.clockGhz != rc.clockGhz,
                         "degraded accelerator must run at the primary "
                         "accelerator's clock (cycle timelines merge)");
                 c.price[kDegraded] =
-                    topologyPrice(rmd, req.decodeLen, stages[kDegraded]);
+                    topologyPrice(rcd, req.decodeLen, stages[kDegraded]);
             }
             // Largest-residency footprint, quantized by the KV policy:
             // exact (prompt + decode) bytes under reserve, whole blocks
             // under paged, 0 when no token is ever generated.
             c.kvBytesPerToken =
-                static_cast<double>(m.kvBytesPerToken());
+                static_cast<double>(group.model->kvBytesPerToken());
             c.promptTokens = req.promptLen;
             c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken,
                                          req.promptLen, req.decodeLen);
             c.remainingTokens = req.decodeLen;
-            return line;
         },
         opts_.costingThreads);
 
-    out.costs.reserve(lines.size());
-    for (Line &line : lines) {
+    for (const Serial &line : serial) {
         fatalIf(out.clockGhz != 0.0 && line.clockGhz != out.clockGhz,
                 "accelerator changed clock between requests");
         out.clockGhz = line.clockGhz;
         out.serialSeconds += line.seconds;
         out.serialJoules += line.joules;
-        out.costs.push_back(std::move(line.cost));
     }
     return out;
 }
@@ -460,19 +466,24 @@ finalizeServingAggregates(ServingReport &report, std::size_t traceSize)
     report.meanLatencySeconds =
         std::accumulate(latencies.begin(), latencies.end(), 0.0) /
         static_cast<double>(latencies.size());
-    // One sort serves all three quantiles.
-    std::sort(latencies.begin(), latencies.end());
-    report.p50LatencySeconds = percentileSorted(latencies, 0.50);
-    report.p90LatencySeconds = percentileSorted(latencies, 0.90);
-    report.p99LatencySeconds = percentileSorted(latencies, 0.99);
-    std::sort(queue_waits.begin(), queue_waits.end());
-    report.p50QueueSeconds = percentileSorted(queue_waits, 0.50);
-    report.p90QueueSeconds = percentileSorted(queue_waits, 0.90);
-    report.p99QueueSeconds = percentileSorted(queue_waits, 0.99);
-    std::sort(first_tokens.begin(), first_tokens.end());
-    report.p50FirstTokenSeconds = percentileSorted(first_tokens, 0.50);
-    report.p90FirstTokenSeconds = percentileSorted(first_tokens, 0.90);
-    report.p99FirstTokenSeconds = percentileSorted(first_tokens, 0.99);
+    // Selection, not a sort: each sample set yields its three
+    // quantiles bit-identically to sorting it.
+    const std::vector<double> quantiles = {0.50, 0.90, 0.99};
+    const std::vector<double> latency =
+        percentilesBySelection(latencies, quantiles);
+    report.p50LatencySeconds = latency[0];
+    report.p90LatencySeconds = latency[1];
+    report.p99LatencySeconds = latency[2];
+    const std::vector<double> queue =
+        percentilesBySelection(queue_waits, quantiles);
+    report.p50QueueSeconds = queue[0];
+    report.p90QueueSeconds = queue[1];
+    report.p99QueueSeconds = queue[2];
+    const std::vector<double> first_token =
+        percentilesBySelection(first_tokens, quantiles);
+    report.p50FirstTokenSeconds = first_token[0];
+    report.p90FirstTokenSeconds = first_token[1];
+    report.p99FirstTokenSeconds = first_token[2];
     report.meanTpotSeconds =
         tpot_requests > 0
             ? tpot_sum / static_cast<double>(tpot_requests)

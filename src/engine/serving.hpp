@@ -122,9 +122,10 @@ struct ServingOptions
     std::size_t profileThreads = 0;
     /**
      * Thread cap for the per-request costing fan-out itself (same
-     * semantics). Costing runs through a singleflight PlanCache and
-     * joins its results in index order, so the costed trace — and the
-     * whole report — is bit-identical at every thread count.
+     * semantics). Each request is priced independently from a prepared
+     * cost (Accelerator::prepare) and written in place; the serial
+     * totals are summed in index order afterwards, so the costed trace
+     * — and the whole report — is bit-identical at every thread count.
      */
     std::size_t costingThreads = 0;
     /**
@@ -354,19 +355,23 @@ class ServingSimulator
     };
 
     /**
-     * Cost @p trace without simulating it: warm the profile cache
-     * (distinct shapes only), then price every request through the
-     * plan cache on up to ServingOptions::costingThreads threads. The
-     * result is bit-identical at every thread count (singleflight
-     * computes each distinct shape once; the join is in index order).
-     * Exposed so benches can time and verify costing in isolation;
-     * simulate() is exactly costTrace() + the event loop + aggregation.
+     * Cost @p trace without simulating it: prepare one cost per
+     * distinct (topology, model, task, context bucket) after warming
+     * their profiles, then price every request from its prepared cost
+     * on up to ServingOptions::costingThreads threads. No plan is built
+     * and nothing enters the plan cache. The result is bit-identical at
+     * every thread count (each price depends only on its request; the
+     * totals are summed in index order). Exposed so benches can time
+     * and verify costing in isolation; simulate() is exactly
+     * costTrace() + the event loop + aggregation.
      */
     CostedTrace costTrace(const std::vector<model::Request> &trace) const;
 
     /**
-     * The folded-cost cache the costing loop and the paged recompute
-     * re-pricer share. Owned per simulator (keyed by accelerator
+     * The folded-cost cache behind the paged recompute re-pricer, where
+     * prices repeat (preemptions at equal resident lengths). First
+     * costing (costTrace) never touches it, so it stays empty on runs
+     * that preempt nothing. Owned per simulator (keyed by accelerator
      * identity, so sharing wider would also be sound); exposed for
      * tests and cache-effectiveness reporting.
      */

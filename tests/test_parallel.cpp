@@ -1,12 +1,20 @@
 /** @file Unit tests for common/parallel: the deterministic thread pool. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/parallel.hpp"
 
@@ -85,6 +93,53 @@ TEST(Parallel, LowestIndexExceptionWins)
     }
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(Parallel, ChunkedClaimsRunEveryIndexOnceAcrossChunkBoundaries)
+{
+    // Claims are chunks of about n / (participants x 16) indices,
+    // clamped to [1, 256]: these sizes straddle the one-index regime,
+    // chunk edges with a ragged tail, and the 256 clamp, for the full
+    // pool and for small caps.
+    const std::size_t p = hardwareThreads() + 1;
+    const std::vector<std::size_t> sizes = {
+        2,          15,         16,         17,
+        p * 16 - 1, p * 16,     p * 16 + 1, p * 32 - 1,
+        p * 32 + 1, p * 4096 - 1, p * 4096 + 1, 100003};
+    for (std::size_t threads : {std::size_t{0}, std::size_t{2},
+                                std::size_t{3}}) {
+        for (std::size_t n : sizes) {
+            std::vector<std::atomic<int>> hits(n);
+            parallelFor(
+                n, [&](std::size_t i) { ++hits[i]; }, threads);
+            std::size_t wrong = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                wrong += hits[i].load() != 1;
+            EXPECT_EQ(wrong, 0u) << "n " << n << " threads " << threads;
+        }
+    }
+}
+
+TEST(Parallel, LowestIndexExceptionWinsAcrossChunks)
+{
+    // Throws in different chunks (and two in one chunk): the lowest
+    // index still wins and every other index still runs once.
+    const std::size_t n = 20000;
+    std::vector<std::atomic<int>> hits(n);
+    try {
+        parallelFor(n, [&](std::size_t i) {
+            ++hits[i];
+            if (i == 19999 || i == 11000 || i == 4321 || i == 4322)
+                throw std::runtime_error("boom at " + std::to_string(i));
+        });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom at 4321");
+    }
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        wrong += hits[i].load() != 1;
+    EXPECT_EQ(wrong, 0u);
 }
 
 TEST(Parallel, SerialPathMatchesExceptionContract)
@@ -170,6 +225,49 @@ TEST(Parallel, ThreadCapIsRespected)
         2);
     EXPECT_LE(peak.load(), 2);
 }
+
+#if defined(__linux__)
+TEST(Parallel, PoolWorkersRunOnDistinctAllowedCpus)
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    const std::size_t cpus = static_cast<std::size_t>(CPU_COUNT(&mask));
+    if (cpus < 2)
+        GTEST_SKIP() << "workers stay unbound on a single allowed CPU";
+    // One index per pool thread plus the submitter, each held until
+    // all have arrived: every worker then runs exactly one index
+    // concurrently and reports where it runs. Bound round-robin, the
+    // workers cover min(workers, cpus) distinct CPUs; left to a
+    // scheduler that keeps wakees on the waker's CPU, they share one.
+    const std::size_t workers = hardwareThreads();
+    const std::size_t n = workers + 1;
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::thread::id> who(n);
+    std::vector<int> where(n, -1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    parallelFor(n, [&](std::size_t i) {
+        ++arrived;
+        while (arrived.load() < n &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        who[i] = std::this_thread::get_id();
+        where[i] = sched_getcpu();
+    });
+    ASSERT_EQ(arrived.load(), n);
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::set<std::thread::id> threads;
+    std::set<int> seen;
+    for (std::size_t i = 0; i < n; ++i) {
+        threads.insert(who[i]);
+        if (who[i] != submitter)
+            seen.insert(where[i]);
+    }
+    ASSERT_EQ(threads.size(), n) << "not every pool thread took an index";
+    EXPECT_EQ(seen.size(), std::min(workers, cpus));
+}
+#endif
 
 } // namespace
 } // namespace mcbp::parallel

@@ -6,7 +6,8 @@
  *    shape field separate entries, exactly — two accelerators (or two
  *    shapes) can never alias a cost;
  *  - the serving costing fan-out is bit-identical at every thread
- *    count (index-ordered join over cached metrics);
+ *    count (in-place writes, index-ordered sums) and leaves the cache
+ *    untouched;
  *  - a second simulate() on the same simulator recomputes nothing
  *    (full cache reuse, including the paged recompute re-pricer).
  */
@@ -143,10 +144,8 @@ TEST(PlanCache, CostingBitIdenticalAcrossThreadCounts)
         opts.costingThreads = threads;
         engine::ServingSimulator sim(*accel, opts);
         expectCostsBitIdentical(a, sim.costTrace(reqs));
-        // Distinct shapes priced once each; repeats were cache hits.
-        EXPECT_EQ(sim.planCache()->computeCalls(),
-                  sim.planCache()->size());
-        EXPECT_LE(sim.planCache()->size(), reqs.size());
+        // First costing prices from prepared costs, never the cache.
+        EXPECT_EQ(sim.planCache()->computeCalls(), 0u);
     }
 }
 
