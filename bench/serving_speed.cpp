@@ -7,7 +7,9 @@
  * Sections:
  *  1. Trace costing — the per-request pricing loop, serial
  *     (costingThreads = 1) vs the parallel fan-out (costingThreads =
- *     0), each pricing every request from its prepared cost.
+ *     0), each pricing every request from its prepared cost. Each leg
+ *     is the median of 9 timed costings, alternating which leg runs
+ *     first, each result freed before the next costing starts.
  *     The costed traces are verified bit-identical always; the >= 4x
  *     speedup gate binds only when the host grants >= 8 hardware
  *     threads (the fan-out cannot win on a 1-2 core runner), and the
@@ -23,6 +25,7 @@
  * Exit code 0 iff every enforced gate passes. `--json <path>`
  * archives the records (bench_util.hpp schema).
  */
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +34,7 @@
 #include <iostream>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -61,6 +65,26 @@ timed(const std::function<void()> &fn)
     const std::clock_t c1 = std::clock();
     return {std::chrono::duration<double>(t1 - t0).count(),
             static_cast<double>(c1 - c0) / CLOCKS_PER_SEC};
+}
+
+/** Median wall and median CPU time of an odd number of runs. */
+Timing
+medianTiming(std::vector<Timing> runs)
+{
+    const auto mid =
+        runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+    Timing out;
+    std::nth_element(runs.begin(), mid, runs.end(),
+                     [](const Timing &a, const Timing &b) {
+                         return a.wall < b.wall;
+                     });
+    out.wall = mid->wall;
+    std::nth_element(runs.begin(), mid, runs.end(),
+                     [](const Timing &a, const Timing &b) {
+                         return a.cpu < b.cpu;
+                     });
+    out.cpu = mid->cpu;
+    return out;
 }
 
 double
@@ -165,34 +189,50 @@ main(int argc, char **argv)
     tc.seed = 5;
     const auto costing_trace = model::synthesizeTrace(tc);
 
-    // Warm the profile cache once, untimed: both timed runs then pay
-    // only the per-request pricing from prepared costs (plus preparing
-    // the trace's handful of costs), the layer the fan-out
-    // parallelizes.
-    {
-        engine::ServingOptions warm;
-        warm.costingThreads = 1;
-        (void)engine::ServingSimulator(*accel, warm)
-            .costTrace(costing_trace);
-    }
     engine::ServingOptions serial_opts;
     serial_opts.costingThreads = 1;
-    engine::ServingSimulator serial_sim(*accel, serial_opts);
-    engine::ServingSimulator::CostedTrace serial_costs;
-    const Timing serial_t = timed(
-        [&] { serial_costs = serial_sim.costTrace(costing_trace); });
-    const double serial_s = serial_t.wall;
-
+    const engine::ServingSimulator serial_sim(*accel, serial_opts);
     engine::ServingOptions par_opts;
     par_opts.costingThreads = 0; // full pool.
-    engine::ServingSimulator par_sim(*accel, par_opts);
-    engine::ServingSimulator::CostedTrace par_costs;
-    const Timing par_t =
-        timed([&] { par_costs = par_sim.costTrace(costing_trace); });
+    const engine::ServingSimulator par_sim(*accel, par_opts);
+    // An untimed serial reference costing also warms the profile
+    // cache: every timed costing then pays only the per-request
+    // pricing from prepared costs (plus preparing the trace's handful
+    // of costs), the layer the fan-out parallelizes.
+    const engine::ServingSimulator::CostedTrace reference =
+        serial_sim.costTrace(costing_trace);
+
+    // Each leg is the median of kCostingRepeats timed costings, the
+    // legs alternating which goes first, so a millisecond host stall
+    // moves one sample rather than the verdict. Each costing is
+    // checked against the reference and freed before the next one
+    // runs: no timed costing allocates while another's result lives.
+    constexpr std::size_t kCostingRepeats = 9;
+
+    bool cost_identical = true;
+    std::vector<Timing> serial_runs, par_runs;
+    const auto costLeg = [&](const engine::ServingSimulator &sim,
+                             std::vector<Timing> &runs) {
+        engine::ServingSimulator::CostedTrace costs;
+        runs.push_back(
+            timed([&] { costs = sim.costTrace(costing_trace); }));
+        cost_identical = cost_identical && costsIdentical(reference, costs);
+    };
+    for (std::size_t rep = 0; rep < kCostingRepeats; ++rep) {
+        if (rep % 2 == 0) {
+            costLeg(serial_sim, serial_runs);
+            costLeg(par_sim, par_runs);
+        } else {
+            costLeg(par_sim, par_runs);
+            costLeg(serial_sim, serial_runs);
+        }
+    }
+    const Timing serial_t = medianTiming(serial_runs);
+    const Timing par_t = medianTiming(par_runs);
+    const double serial_s = serial_t.wall;
     const double par_s = par_t.wall;
 
     const double cost_speedup = par_s > 0.0 ? serial_s / par_s : 1.0;
-    const bool cost_identical = costsIdentical(serial_costs, par_costs);
     const bool cost_gate_enforced = parallel::hardwareThreads() >= 8;
     const bool cost_gate =
         cost_identical && (!cost_gate_enforced || cost_speedup >= 4.0);
@@ -206,9 +246,10 @@ main(int argc, char **argv)
     std::set<std::pair<std::size_t, std::size_t>> shapes;
     for (const model::Request &r : costing_trace)
         shapes.emplace(r.promptLen, r.decodeLen);
-    std::printf("  requests %zu  distinct shapes %zu  threads %zu\n",
+    std::printf("  requests %zu  distinct shapes %zu  threads %zu  "
+                "median of %zu alternating runs per leg\n",
                 costing_trace.size(), shapes.size(),
-                parallel::hardwareThreads());
+                parallel::hardwareThreads(), kCostingRepeats);
     std::printf("  serial    %8.4f s  (%.0f req/s)  cpu %.4f s\n",
                 serial_s,
                 serial_s > 0.0 ? costing_trace.size() / serial_s : 0.0,
@@ -237,6 +278,7 @@ main(int argc, char **argv)
         .field("requests", costing_trace.size())
         .field("distinct_shapes", shapes.size())
         .field("threads", parallel::hardwareThreads())
+        .field("repeats", kCostingRepeats)
         .field("serial_s", serial_s)
         .field("parallel_s", par_s)
         .field("serial_cpu_s", serial_t.cpu)

@@ -32,10 +32,21 @@ EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
     fatalIf(maxBatch_ == 0, "maxBatch must be positive");
     fatalIf(kv_.policy == KvPolicy::Paged && !repricer_,
             "paged KV needs a prefill re-pricer for recompute");
-    if (faults_.enabled)
-        for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
-            fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
-                    "fault timeline must be sorted by time");
+    if (!faults_.enabled)
+        return;
+    for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
+        fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
+                "fault timeline must be sorted by time");
+    // A negative or NaN backoff would schedule retries (and fleet
+    // reroutes) before the kill that caused them.
+    const auto checkRetryKnob = [](double cycles, const char *name) {
+        if (!std::isfinite(cycles) || cycles < 0.0)
+            fatal(std::string("retry ") + name +
+                  " must be finite and >= 0");
+    };
+    checkRetryKnob(faults_.backoffBaseCycles, "backoffBaseSeconds");
+    checkRetryKnob(faults_.backoffCapCycles, "backoffCapSeconds");
+    checkRetryKnob(faults_.deadlineCycles, "deadlineSeconds");
 }
 
 EventStats

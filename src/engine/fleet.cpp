@@ -1,13 +1,13 @@
 #include "engine/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
-#include "common/annotations.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "sim/fault_model.hpp"
@@ -177,14 +177,6 @@ replicaDeathTimes(const std::vector<sim::FaultEvent> &timeline,
     return deadAt;
 }
 
-/** Per-replica sub-simulation results, written concurrently by the
- *  fan-out below and therefore lock-guarded. */
-struct ReplicaRuns
-{
-    mcbp::Mutex mu;
-    std::vector<ServingReport> reports MCBP_GUARDED_BY(mu);
-};
-
 } // namespace
 
 FleetRouter::FleetRouter(const FleetAccelerator &fleet,
@@ -220,6 +212,7 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
             ServingSimulator(replica, ropts).simulate(trace));
         out.fleet = out.replicas.back();
         out.assignment.assign(trace.size(), 0);
+        out.replicaRuns = 1;
         return out;
     }
 
@@ -229,6 +222,7 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         out.replicas.resize(dp, out.fleet);
         for (ServingReport &r : out.replicas)
             r.accelerator = replica.name();
+        out.replicaRuns = 1;
         return out;
     }
 
@@ -337,96 +331,77 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         inflight[target].push_back({t + estSeconds[i], kvDemand[i]});
     }
 
-    // ---- Per-replica simulation ------------------------------------------
+    // ---- Per-replica simulation, in death order --------------------------
+    // A dying replica's drops re-dispatch at max(arrival, death) +
+    // backoff onto a replica alive then, which dies strictly later or
+    // never. So running the dying replicas one at a time in death
+    // order (ties by index) completes each sub-trace before its
+    // replica runs: every replica simulates exactly once, and a
+    // request hops at most once per replica (dp - 1 reroutes).
     std::vector<std::vector<model::Request>> sub(dp);
     for (const std::size_t i : order)
         sub[assign[i]].push_back(trace[i]);
 
-    auto runReplica = [&](std::size_t r) {
-        ServingOptions o = ropts;
-        o.faults = replicaFaults[r];
-        return ServingSimulator(replica, o).simulate(sub[r]);
-    };
-
-    ReplicaRuns runs;
-    {
-        mcbp::MutexLock lock(runs.mu);
-        runs.reports.resize(dp);
-    }
-    parallel::parallelFor(dp, [&](std::size_t r) {
-        ServingReport report = runReplica(r);
-        mcbp::MutexLock lock(runs.mu);
-        runs.reports[r] = std::move(report);
-    });
-    std::vector<ServingReport> reports;
-    {
-        mcbp::MutexLock lock(runs.mu);
-        reports = std::move(runs.reports);
-    }
-
-    // ---- Failover: re-dispatch drops off dead replicas -------------------
     std::map<std::size_t, std::size_t> indexById;
     for (std::size_t i = 0; i < trace.size(); ++i)
         indexById[trace[i].id] = i;
 
+    std::vector<ServingReport> reports(dp);
+    std::atomic<std::size_t> runs{0};
+    auto runReplica = [&](std::size_t r) {
+        std::stable_sort(sub[r].begin(), sub[r].end(), arrivesBefore);
+        ServingOptions o = ropts;
+        o.faults = replicaFaults[r];
+        reports[r] = ServingSimulator(replica, o).simulate(sub[r]);
+        ++runs;
+    };
+
+    std::vector<std::size_t> dying, survivors;
+    for (std::size_t r = 0; r < dp; ++r)
+        (deadAt[r] == kNever ? survivors : dying).push_back(r);
+    std::stable_sort(dying.begin(), dying.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return deadAt[a] < deadAt[b];
+                     });
+
     std::vector<std::size_t> rerouteCount(trace.size(), 0);
-    std::vector<bool> settled(trace.size(), false);
     std::vector<std::size_t> rerouteOrder;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::vector<std::size_t> resim;
-        for (std::size_t r = 0; r < dp; ++r) {
-            if (deadAt[r] == kNever)
-                continue; // healthy replicas drop for non-fault reasons.
-            for (const std::size_t id : reports[r].dropOrder) {
-                const std::size_t idx = indexById.at(id);
-                if (assign[idx] != r || settled[idx])
-                    continue;
-                const double t0 = trace[idx].arrivalSeconds;
-                const double tNew = std::max(t0, deadAt[r]) +
-                                    opts_.retry.backoffBaseSeconds;
-                // A reroute is a fleet-level retry: bounded by the
-                // request's deadline and one visit per other replica.
-                const bool pastDeadline =
-                    opts_.retry.deadlineSeconds > 0.0 &&
-                    tNew > t0 + opts_.retry.deadlineSeconds;
-                if (pastDeadline || rerouteCount[idx] >= dp - 1) {
-                    settled[idx] = true;
-                    continue;
+    for (const std::size_t r : dying) {
+        runReplica(r);
+        for (const std::size_t id : reports[r].dropOrder) {
+            const std::size_t idx = indexById.at(id);
+            const double t0 = trace[idx].arrivalSeconds;
+            const double tNew = std::max(t0, deadAt[r]) +
+                                opts_.retry.backoffBaseSeconds;
+            // A reroute is a fleet-level retry, bounded by the
+            // request's deadline.
+            if (opts_.retry.deadlineSeconds > 0.0 &&
+                tNew > t0 + opts_.retry.deadlineSeconds)
+                continue;
+            std::size_t target = dp;
+            for (std::size_t k = 1; k < dp; ++k) {
+                const std::size_t cand = (r + k) % dp;
+                if (aliveAt(cand, tNew)) {
+                    target = cand;
+                    break;
                 }
-                std::size_t target = dp;
-                for (std::size_t k = 1; k <= dp; ++k) {
-                    const std::size_t cand = (r + k) % dp;
-                    if (cand != r && aliveAt(cand, tNew)) {
-                        target = cand;
-                        break;
-                    }
-                }
-                if (target == dp) {
-                    settled[idx] = true; // nowhere left to go.
-                    continue;
-                }
-                model::Request moved = trace[idx];
-                moved.arrivalSeconds = tNew;
-                sub[target].push_back(moved);
-                assign[idx] = target;
-                ++rerouteCount[idx];
-                ++out.reroutes;
-                rerouteOrder.push_back(id);
-                resim.push_back(target);
-                changed = true;
             }
-        }
-        std::sort(resim.begin(), resim.end());
-        resim.erase(std::unique(resim.begin(), resim.end()),
-                    resim.end());
-        for (const std::size_t r : resim) {
-            std::stable_sort(sub[r].begin(), sub[r].end(),
-                             arrivesBefore);
-            reports[r] = runReplica(r);
+            if (target == dp)
+                continue; // nowhere left to go.
+            model::Request moved = trace[idx];
+            moved.arrivalSeconds = tNew;
+            sub[target].push_back(moved);
+            assign[idx] = target;
+            ++rerouteCount[idx];
+            ++out.reroutes;
+            rerouteOrder.push_back(id);
         }
     }
+    // Replicas that never die receive reroutes but emit none.
+    parallel::parallelFor(survivors.size(), [&](std::size_t k) {
+        runReplica(survivors[k]);
+    });
+    out.replicaRuns = runs.load();
 
     // ---- Merge ------------------------------------------------------------
     ServingReport merged;
@@ -513,7 +488,8 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     }
 
     // Fleet-level reroutes are retries too, logged after the
-    // per-replica decision streams.
+    // per-replica decision streams in death order of the replica they
+    // left (within one replica, in its drop order).
     merged.retriesScheduled += out.reroutes;
     merged.retryOrder.insert(merged.retryOrder.end(),
                              rerouteOrder.begin(), rerouteOrder.end());

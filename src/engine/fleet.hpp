@@ -19,10 +19,22 @@
  * owning replica; fleet-wide link/straggler windows reach every
  * replica). A replica with a fatal permanent failure drops its queued
  * and future work — the router re-dispatches those drops to surviving
- * replicas at the fault time plus the retry backoff, bounded by the
- * per-request deadline and a fleet-size reroute budget, so the
- * existing retry/backoff/deadline vocabulary covers replica failover
- * too.
+ * replicas at max(arrival, death) plus the retry backoff, bounded by
+ * the per-request deadline, so the existing retry/backoff/deadline
+ * vocabulary covers replica failover too.
+ *
+ * One pass, in death order: a re-dispatch lands only on a replica
+ * alive at that time (backoff >= 0), i.e. one that dies strictly
+ * later or never. So the router runs the dying replicas one at a time
+ * in order of death (ties by index), rerouting each one's drops into
+ * its targets' sub-traces right after it runs, and then fans the
+ * replicas that never die out in parallel. Each replica is simulated
+ * exactly once, and a request hops at most dp - 1 times by
+ * construction (each hop goes to a later-dying replica). Reroutes
+ * enter the merged retryOrder after the per-replica streams, in that
+ * death order. Trade-off: a dying replica that reroutes nothing still
+ * runs before the survivors' fan-out and delays it by its own run
+ * time; no CPU work is added.
  *
  * dp=1 is the identity: name/capabilities/configSummary forward
  * verbatim and the router delegates wholesale to a single-replica
@@ -118,11 +130,21 @@ struct FleetOutcome
     std::vector<std::size_t> assignment;
     /** Failover re-dispatches performed (0 on healthy runs). */
     std::size_t reroutes = 0;
+    /** Replica simulations run: dp on the routed path (each replica
+     *  exactly once, however many reroutes it receives); 1 at dp=1
+     *  and for an empty trace, which share one simulation. */
+    std::size_t replicaRuns = 0;
 };
 
 /**
- * The dp >= 1 serving path: route, simulate per replica, fail over,
- * merge. ServingSimulator::simulate() delegates here for any
+ * The dp >= 1 serving path: route, simulate each replica exactly once
+ * in death order (dying replicas serially, rerouting each one's drops
+ * before the next runs; never-dying replicas last, in parallel),
+ * merge. A request hops at most dp - 1 times by construction, the
+ * fleet reroutes close retryOrder in death order of the replica they
+ * leave, and a dying replica that reroutes nothing delays the
+ * survivors' fan-out by its own run time (CPU work never grows).
+ * ServingSimulator::simulate() delegates here for any
  * FleetAccelerator; the router is public so tests and benches can see
  * per-replica reports and the assignment.
  *

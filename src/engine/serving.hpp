@@ -68,7 +68,8 @@
 namespace mcbp::engine {
 
 /** Retry/SLO knobs of fault-tolerant serving (only consulted when
- *  ServingOptions::faults is enabled). */
+ *  ServingOptions::faults is enabled; then every seconds knob must be
+ *  finite and >= 0, or simulate() is fatal). */
 struct RetryOptions
 {
     /** Fault-kill restarts before a request is dropped. */

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -179,6 +180,44 @@ TEST(FaultModel, KnobAndEventValidation)
     bad_repair.events[0].repairAt = 0.05;
     EXPECT_THROW((void)sim::buildFaultTimeline(bad_repair, 2),
                  std::runtime_error);
+
+    // Retry knobs: every seconds value must be finite and >= 0 once
+    // faults are on (a negative backoff would retry before the kill),
+    // on the flat path and on a fleet whose replica dies.
+    Registry registry;
+    const auto flat = registry.make("mcbp");
+    const auto fleet = registry.make("mcbp:dp=2");
+    const auto trace = smallTrace(4);
+    sim::FaultSpec death;
+    sim::FaultEvent fail;
+    fail.at = 0.01;
+    fail.kind = sim::FaultKind::ChipFail;
+    fail.permanent = true;
+    death.events.push_back(fail);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double RetryOptions::*knob :
+         {&RetryOptions::backoffBaseSeconds,
+          &RetryOptions::backoffCapSeconds,
+          &RetryOptions::deadlineSeconds}) {
+        for (const double bad : {-0.01, nan, inf, -inf}) {
+            ServingOptions opts;
+            opts.retry.*knob = bad;
+            opts.faults = transientFailAt(0.01, 0.1);
+            EXPECT_THROW((void)ServingSimulator(*flat, opts).simulate(trace),
+                         std::runtime_error)
+                << bad;
+            opts.faults = death;
+            EXPECT_THROW(
+                (void)ServingSimulator(*fleet, opts).simulate(trace),
+                std::runtime_error)
+                << bad;
+            // Not consulted (nor checked) while faults are off.
+            opts.faults = {};
+            EXPECT_NO_THROW(
+                (void)ServingSimulator(*flat, opts).simulate(trace));
+        }
+    }
 
     // Out-of-order explicit events are sorted and id-stamped.
     sim::FaultSpec unsorted;

@@ -9,6 +9,10 @@
  *  - a permanently failed replica drains onto the survivors through
  *    the retry/backoff path (reroutes happen, goodput never beats the
  *    healthy run, conservation still holds);
+ *  - two staggered replica deaths (dp=3/4, both routing policies,
+ *    paged KV) simulate each replica exactly once, reroute only onto
+ *    replicas alive at the re-dispatch time, log the fleet reroutes
+ *    in death order, and settle every id exactly once;
  *  - the coalesced-vs-per-token step-mode identity contract survives
  *    the fleet under injected faults (decision orders verbatim,
  *    aggregates to 1e-9 relative);
@@ -20,8 +24,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "engine/fleet.hpp"
 #include "engine/registry.hpp"
@@ -188,6 +194,7 @@ TEST(Fleet, RoutingConservesRequestsAcrossReplicas)
         const FleetOutcome out = FleetRouter(*fleet, opts).simulate(trace);
         expectConservation(out.fleet, trace);
         EXPECT_EQ(out.reroutes, 0u) << spec; // healthy: no failover
+        EXPECT_EQ(out.replicaRuns, 4u) << spec;
         ASSERT_EQ(out.replicas.size(), 4u);
         ASSERT_EQ(out.assignment.size(), trace.size());
         std::vector<std::size_t> perReplica(4, 0);
@@ -239,6 +246,7 @@ TEST(Fleet, PermanentReplicaFailureDrainsOntoSurvivors)
     const FleetOutcome out = FleetRouter(*fleet, faulty).simulate(trace);
 
     expectConservation(out.fleet, trace);
+    EXPECT_EQ(out.replicaRuns, 2u); // each replica simulated once.
     EXPECT_GT(out.reroutes, 0u);
     EXPECT_GT(out.fleet.retriesScheduled, 0u);
     EXPECT_TRUE(std::any_of(out.fleet.requests.begin(),
@@ -291,6 +299,8 @@ TEST(Fleet, StepModeIdentityHoldsUnderFaultsAtDp2Pp2Tp2)
     perToken.stepMode = StepMode::PerToken;
     const FleetOutcome a = FleetRouter(*fleet, coalesced).simulate(trace);
     const FleetOutcome b = FleetRouter(*fleet, perToken).simulate(trace);
+    EXPECT_EQ(a.replicaRuns, 2u);
+    EXPECT_EQ(b.replicaRuns, 2u);
 
     // Decision logs verbatim...
     EXPECT_EQ(a.fleet.admissionOrder, b.fleet.admissionOrder);
@@ -311,6 +321,159 @@ TEST(Fleet, StepModeIdentityHoldsUnderFaultsAtDp2Pp2Tp2)
     near(a.fleet.goodputTokensPerSecond, b.fleet.goodputTokensPerSecond);
     near(a.fleet.joulesPerToken, b.fleet.joulesPerToken);
     near(a.fleet.p99LatencySeconds, b.fleet.p99LatencySeconds);
+}
+
+TEST(Fleet, TwoStaggeredReplicaDeathsRerouteInDeathOrder)
+{
+    Registry registry;
+    const auto trace = fleetTrace(48, 400.0, 21);
+    struct Case
+    {
+        const char *spec;
+        std::size_t first, second; // replicas dying first and second.
+        double deadlineShare;      // of the healthy makespan (0 = none).
+    };
+    // Reroutes off the first death land on the second (next index), so
+    // some are dropped again and hop twice; dp=4 kills replica 3
+    // first, so death order differs from index order. A deadline turns
+    // part of the fleet's work into drops.
+    for (const Case &c : {Case{"mcbp:dp=3,route=least", 0, 1, 0.0},
+                          Case{"mcbp:dp=3,route=rr", 0, 1, 0.0},
+                          Case{"mcbp:dp=4,route=least", 3, 0, 0.0},
+                          Case{"mcbp:dp=4,route=rr", 3, 0, 0.0},
+                          Case{"mcbp:dp=3,route=least", 0, 1, 0.3},
+                          Case{"mcbp:dp=4,route=rr", 3, 0, 0.3}}) {
+        SCOPED_TRACE(std::string(c.spec) + " deadline share " +
+                     std::to_string(c.deadlineShare));
+        auto accel = registry.make(c.spec);
+        const auto *fleet =
+            dynamic_cast<const FleetAccelerator *>(accel.get());
+        ASSERT_NE(fleet, nullptr);
+        const std::size_t dp = fleet->options().dataParallel;
+        ASSERT_EQ(fleet->replica().capabilities().kvShards, 1u);
+
+        // Paged KV under a fleet budget below the healthy peak.
+        ServingOptions opts;
+        opts.maxBatch = 4;
+        opts.kvPolicy = KvPolicy::Paged;
+        const FleetOutcome healthy =
+            FleetRouter(*fleet, opts).simulate(trace);
+        double replicaPeak = 0.0;
+        for (const ServingReport &r : healthy.replicas)
+            replicaPeak = std::max(replicaPeak, r.kvPeakBytes);
+        const double makespan = healthy.fleet.makespanSeconds;
+        opts.kvCapacityBytes =
+            0.6 * replicaPeak * static_cast<double>(dp);
+        opts.retry.deadlineSeconds = c.deadlineShare * makespan;
+
+        // Chip r is replica r: two permanent deaths while the queues
+        // are still full, the second just after the first's reroutes
+        // arrive.
+        std::vector<double> deadAt(dp,
+                                   std::numeric_limits<double>::infinity());
+        deadAt[c.first] = 0.2 * makespan;
+        deadAt[c.second] = deadAt[c.first] +
+                           opts.retry.backoffBaseSeconds + 0.1 * makespan;
+        opts.faults.events.push_back(
+            permanentFail(deadAt[c.first], c.first));
+        opts.faults.events.push_back(
+            permanentFail(deadAt[c.second], c.second));
+
+        ServingOptions perTokenOpts = opts;
+        perTokenOpts.stepMode = StepMode::PerToken;
+        const FleetOutcome out = FleetRouter(*fleet, opts).simulate(trace);
+        const FleetOutcome ref =
+            FleetRouter(*fleet, perTokenOpts).simulate(trace);
+        EXPECT_EQ(out.replicaRuns, dp);
+        EXPECT_EQ(ref.replicaRuns, dp);
+        EXPECT_GT(out.reroutes, 0u);
+        EXPECT_GT(out.fleet.preemptions, 0u);
+        if (c.deadlineShare > 0.0) {
+            EXPECT_GT(out.fleet.droppedRequests, 0u);
+        }
+
+        // Every id completes or drops exactly once.
+        std::map<std::size_t, std::size_t> outcomes;
+        for (const RequestMetrics &r : out.fleet.requests)
+            ++outcomes[r.id];
+        for (const std::size_t id : out.fleet.dropOrder)
+            ++outcomes[id];
+        EXPECT_EQ(out.fleet.requests.size() + out.fleet.droppedRequests,
+                  trace.size());
+        std::map<std::size_t, std::size_t> indexById;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            indexById[trace[i].id] = i;
+            EXPECT_EQ(outcomes[trace[i].id], 1u) << trace[i].id;
+        }
+
+        // Rebuild each request's path: the replicas that dropped it, in
+        // death order, then its final replica. Each hop leaves at
+        // max(arrival, death) + backoff onto a replica alive then.
+        const auto diesBefore = [&](std::size_t a, std::size_t b) {
+            return deadAt[a] != deadAt[b] ? deadAt[a] < deadAt[b] : a < b;
+        };
+        std::map<std::size_t, std::vector<std::size_t>> path;
+        for (std::size_t r = 0; r < dp; ++r)
+            for (const std::size_t id : out.replicas[r].dropOrder)
+                path[id].push_back(r);
+        std::size_t hopTotal = 0, twoHops = 0;
+        for (auto &[id, visited] : path) {
+            const std::size_t last = out.assignment[indexById.at(id)];
+            if (std::find(visited.begin(), visited.end(), last) ==
+                visited.end())
+                visited.push_back(last);
+            std::sort(visited.begin(), visited.end(), diesBefore);
+            EXPECT_EQ(visited.back(), last) << id;
+            const double t0 = trace[indexById.at(id)].arrivalSeconds;
+            for (std::size_t k = 0; k + 1 < visited.size(); ++k) {
+                const double tNew = std::max(t0, deadAt[visited[k]]) +
+                                    opts.retry.backoffBaseSeconds;
+                EXPECT_GT(deadAt[visited[k + 1]], tNew) << id;
+            }
+            hopTotal += visited.size() - 1;
+            twoHops += visited.size() > 2 ? 1 : 0;
+        }
+        EXPECT_EQ(hopTotal, out.reroutes);
+        if (c.deadlineShare == 0.0) {
+            EXPECT_GT(twoHops, 0u);
+        }
+
+        // The fleet reroutes close retryOrder, one entry per hop, in
+        // death order of the replica each hop leaves.
+        ASSERT_GE(out.fleet.retryOrder.size(), out.reroutes);
+        std::map<std::size_t, std::size_t> hopsSeen;
+        std::size_t prevSource = c.first;
+        for (std::size_t k = out.fleet.retryOrder.size() - out.reroutes;
+             k < out.fleet.retryOrder.size(); ++k) {
+            const std::size_t id = out.fleet.retryOrder[k];
+            const std::size_t hop = hopsSeen[id]++;
+            ASSERT_LT(hop + 1, path[id].size()) << id;
+            const std::size_t source = path[id][hop];
+            EXPECT_FALSE(diesBefore(source, prevSource)) << id;
+            prevSource = source;
+        }
+        for (const auto &[id, visited] : path)
+            EXPECT_EQ(hopsSeen[id], visited.size() - 1) << id;
+
+        // Coalesced equals per-token.
+        EXPECT_EQ(out.assignment, ref.assignment);
+        EXPECT_EQ(out.reroutes, ref.reroutes);
+        EXPECT_EQ(out.fleet.admissionOrder, ref.fleet.admissionOrder);
+        EXPECT_EQ(out.fleet.preemptionOrder, ref.fleet.preemptionOrder);
+        EXPECT_EQ(out.fleet.retryOrder, ref.fleet.retryOrder);
+        EXPECT_EQ(out.fleet.dropOrder, ref.fleet.dropOrder);
+        EXPECT_EQ(out.fleet.decodeIterations, ref.fleet.decodeIterations);
+        EXPECT_EQ(out.fleet.preemptions, ref.fleet.preemptions);
+        const auto near = [](double x, double y) {
+            const double scale = std::max({1.0, std::abs(x), std::abs(y)});
+            EXPECT_NEAR(x, y, 1e-9 * scale);
+        };
+        near(out.fleet.makespanSeconds, ref.fleet.makespanSeconds);
+        near(out.fleet.busySeconds, ref.fleet.busySeconds);
+        near(out.fleet.tokensPerSecond, ref.fleet.tokensPerSecond);
+        near(out.fleet.joulesPerToken, ref.fleet.joulesPerToken);
+        near(out.fleet.p99LatencySeconds, ref.fleet.p99LatencySeconds);
+    }
 }
 
 TEST(Fleet, PodSpecServesEndToEnd)

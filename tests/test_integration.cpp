@@ -10,7 +10,6 @@
 #include "brcr/enumeration.hpp"
 #include "bstc/compressed_weight.hpp"
 #include "common/rng.hpp"
-#include "model/kv_cache.hpp"
 #include "model/synthetic.hpp"
 #include "model/transformer.hpp"
 #include <cmath>
@@ -80,28 +79,26 @@ TEST(Integration, SegmentDecodeFeedsCamMatch)
 
 TEST(Integration, DecodeAttentionWithBgppOverKvCache)
 {
-    // Decode-stage flow: append tokens to a KV cache, predict vital keys
-    // with BGPP, compute sparse attention, and compare with the dense
-    // softmax-weighted output.
+    // Decode-stage flow: fill a head's INT8 K/V cache token by token,
+    // predict vital keys with BGPP, compute sparse attention, and
+    // compare with the dense softmax-weighted output.
     Rng rng(3);
     const std::size_t d = 64, s = 384;
     model::AttentionSet set = model::synthesizeAttention(rng, s, d, 0.12);
 
-    model::KvCache cache(d);
+    Int8Matrix keys(s, d), values(s, d);
     for (std::size_t j = 0; j < s; ++j) {
-        std::vector<std::int8_t> k(d), v(d);
         for (std::size_t i = 0; i < d; ++i) {
-            k[i] = set.keys.at(j, i);
-            v[i] = static_cast<std::int8_t>(
+            keys.at(j, i) = set.keys.at(j, i);
+            values.at(j, i) = static_cast<std::int8_t>(
                 static_cast<std::int64_t>(rng.uniformInt(255)) - 127);
         }
-        cache.append(k, v);
     }
 
     bgpp::BgppConfig cfg;
     cfg.logitScale = set.logitScale;
     bgpp::BgppPredictor predictor(cfg);
-    bgpp::BgppResult sel = predictor.predict(set.query, cache.keys());
+    bgpp::BgppResult sel = predictor.predict(set.query, keys);
     ASSERT_GE(sel.selected.size(), 1u);
     ASSERT_LT(sel.selected.size(), s);
 
@@ -115,7 +112,7 @@ TEST(Integration, DecodeAttentionWithBgppOverKvCache)
             double acc = 0.0;
             for (std::size_t i = 0; i < d; ++i)
                 acc += static_cast<double>(set.query[i]) *
-                       cache.keys().at(j, i);
+                       keys.at(j, i);
             const double l = acc * set.logitScale;
             logits.push_back(l);
             mx = std::max(mx, l);
@@ -124,7 +121,7 @@ TEST(Integration, DecodeAttentionWithBgppOverKvCache)
             const double w = std::exp(logits[n] - mx);
             denom += w;
             for (std::size_t i = 0; i < d; ++i)
-                out[i] += w * cache.values().at(keys_used[n], i);
+                out[i] += w * values.at(keys_used[n], i);
         }
         for (auto &o : out)
             o /= denom;

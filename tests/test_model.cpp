@@ -1,10 +1,9 @@
-/** @file Unit tests for model/: llm_config, workload, synthetic, kv_cache. */
+/** @file Unit tests for model/: llm_config, workload, synthetic. */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "model/kv_cache.hpp"
 #include "model/llm_config.hpp"
 #include "model/synthetic.hpp"
 #include "model/workload.hpp"
@@ -166,35 +165,6 @@ TEST(Synthetic, BadArgumentsFatal)
     WeightProfile bad;
     bad.sigma = 0.0;
     EXPECT_THROW(gaussianWeights(rng, 2, 2, bad), std::runtime_error);
-}
-
-TEST(KvCache, AppendAndRead)
-{
-    KvCache cache(4);
-    cache.append({1, 2, 3, 4}, {5, 6, 7, 8});
-    cache.append({9, 10, 11, 12}, {13, 14, 15, 16});
-    EXPECT_EQ(cache.length(), 2u);
-    EXPECT_EQ(cache.readKey(0)[2], 3);
-    EXPECT_EQ(cache.readValue(1)[0], 13);
-    EXPECT_EQ(cache.keys().rows(), 2u);
-}
-
-TEST(KvCache, ByteAccounting)
-{
-    KvCache cache(8);
-    cache.append(std::vector<std::int8_t>(8), std::vector<std::int8_t>(8));
-    EXPECT_EQ(cache.bytesWritten(), 16u);
-    cache.readKey(0);
-    cache.readValue(0);
-    EXPECT_EQ(cache.bytesRead(), 16u);
-}
-
-TEST(KvCache, Errors)
-{
-    KvCache cache(4);
-    EXPECT_THROW(cache.append({1, 2}, {1, 2, 3, 4}), std::runtime_error);
-    EXPECT_THROW(cache.readKey(0), std::runtime_error);
-    EXPECT_THROW(KvCache(0), std::runtime_error);
 }
 
 } // namespace
