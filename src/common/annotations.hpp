@@ -4,8 +4,8 @@
  * the analysis needs to see.
  *
  * Every mutex-protected structure in the tree (the SingleflightMap
- * shards behind ProfileCache and PlanCache, the common/parallel pool,
- * KvBlockManager) declares WHICH
+ * shards behind ProfileCache and PlanCache, the common/parallel pool)
+ * declares WHICH
  * data each lock guards via these macros, and the clang CI lane
  * compiles with `-Wthread-safety -Werror` so an unguarded access is a
  * build break, not a latent race. Under gcc (and any compiler without

@@ -187,7 +187,8 @@ struct CostedRequest
     bool admitted = false;
     double admissionCycles = 0.0; ///< First admission (queue wait ends).
     double completionCycles = 0.0;
-    /** Paged-policy state: current block-rounded residency. */
+    /** The KV the request holds in the pool right now (the footprint
+     *  under Reserve, its block-rounded residency under Paged). */
     double kvAllocatedBytes = 0.0;
     double kvNeededBytes = 0.0;
     std::size_t preemptions = 0;
@@ -255,7 +256,8 @@ struct EventStats
     /** Paged policy: preempt-and-recompute counters. */
     std::size_t preemptions = 0;
     std::size_t recomputedTokens = 0;
-    /** Paged policy: peak internal fragmentation (allocated - needed). */
+    /** Peak internal fragmentation (allocated - needed); always 0
+     *  under Reserve. */
     double kvFragmentationPeakBytes = 0.0;
     /** Paged policy: sum over decode iterations of needed/allocated
      *  bytes (block fill), and the iterations counted. */

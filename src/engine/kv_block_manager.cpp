@@ -1,6 +1,5 @@
 #include "engine/kv_block_manager.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -58,111 +57,14 @@ KvBlockManager::KvBlockManager(const KvOptions &opts) : opts_(opts)
             "KV low watermark must be in [0, 1)");
 }
 
-double
-KvBlockManager::allocatedBytes(double bytesPerToken,
-                               std::size_t tokens) const
-{
-    if (tokens == 0 || bytesPerToken <= 0.0)
-        return 0.0;
-    // Whole blocks of blockTokens tokens. Every TP shard holds the
-    // same block count of 1/shards-sized slices, so the aggregate is
-    // exactly shards x the per-shard ledger (see file comment).
-    const std::size_t blocks =
-        (tokens + opts_.blockTokens - 1) / opts_.blockTokens;
-    return static_cast<double>(blocks) *
-           static_cast<double>(opts_.blockTokens) * bytesPerToken;
-}
-
-bool
-KvBlockManager::fits(double extraBytes, bool admission) const
-{
-    if (unbounded())
-        return true;
-    const double headroom =
-        admission ? opts_.lowWatermark * opts_.capacityBytes : 0.0;
-    MutexLock lock(mutex_);
-    return used_ + extraBytes <= opts_.capacityBytes - headroom;
-}
-
-void
-KvBlockManager::add(double allocated, double needed)
-{
-    MutexLock lock(mutex_);
-    used_ += allocated;
-    needed_ += needed;
-    peakUsed_ = std::max(peakUsed_, used_);
-    peakFrag_ = std::max(peakFrag_, used_ - needed_);
-}
-
-void
-KvBlockManager::remove(double allocated, double needed)
-{
-    MutexLock lock(mutex_);
-    used_ -= allocated;
-    needed_ -= needed;
-}
-
 void
 KvBlockManager::clearIdleResidual()
 {
-    MutexLock lock(mutex_);
     panicIf(std::abs(used_) > 1.0,
-            "KV block accounting leak: idle engine still holds "
-            "allocated blocks");
+            "KV accounting leak: idle engine still holds allocated "
+            "bytes");
     used_ = 0.0;
     needed_ = 0.0;
-}
-
-double
-KvBlockManager::usedBytes() const
-{
-    MutexLock lock(mutex_);
-    return used_;
-}
-
-double
-KvBlockManager::neededBytes() const
-{
-    MutexLock lock(mutex_);
-    return needed_;
-}
-
-double
-KvBlockManager::peakUsedBytes() const
-{
-    MutexLock lock(mutex_);
-    return peakUsed_;
-}
-
-double
-KvBlockManager::peakFragmentationBytes() const
-{
-    MutexLock lock(mutex_);
-    return peakFrag_;
-}
-
-double
-KvBlockManager::freeBytesLocked() const
-{
-    if (unbounded())
-        return 0.0;
-    return std::max(0.0, opts_.capacityBytes - used_);
-}
-
-double
-KvBlockManager::freeBytes() const
-{
-    MutexLock lock(mutex_);
-    return freeBytesLocked();
-}
-
-double
-KvBlockManager::freeFraction() const
-{
-    if (unbounded())
-        return 1.0;
-    MutexLock lock(mutex_);
-    return freeBytesLocked() / opts_.capacityBytes;
 }
 
 } // namespace mcbp::engine

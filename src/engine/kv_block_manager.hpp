@@ -1,6 +1,6 @@
 /**
  * @file
- * Block-granular KV-cache accounting for the serving engine.
+ * KV-cache accounting for the serving engine.
  *
  * Two admission policies share one capacity sentinel (a capacity
  * <= 0 means unbounded, everywhere):
@@ -22,11 +22,17 @@
  *    accelerator's prefill path at its full (prompt + generated)
  *    length.
  *
- * KvBlockManager owns the paged ledger: block rounding, capacity and
- * admission-watermark checks, and the fragmentation statistics the
- * report surfaces (allocated vs needed bytes, peak internal
- * fragmentation). A request whose decodeLen is 0 retains no KV at all
- * (prefill-only work never reads the cache back), under either policy.
+ * KvBlockManager is the one ledger for both policies: what a request
+ * charges at (re)admission, capacity and admission-watermark checks,
+ * the pressure snapshot schedulers see, and the statistics the report
+ * surfaces (peak allocated bytes, allocated vs needed bytes, peak
+ * internal fragmentation). A request whose decodeLen is 0 retains no
+ * KV at all (prefill-only work never reads the cache back), under
+ * either policy.
+ *
+ * The ledger has a single owner: the event core keeps one as a local
+ * of its run, and nothing else reads it. It has no internal
+ * synchronization; a concurrent reader would need its own.
  *
  * Tensor-parallel sharding (Capabilities::kvShards): each of the N
  * shards stores 1/N of every token's KV (the head split), so
@@ -38,11 +44,10 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
-
-#include "common/annotations.hpp"
 
 namespace mcbp::engine {
 
@@ -95,11 +100,23 @@ struct KvOptions
 double kvFootprintBytes(const KvOptions &kv, double bytesPerToken,
                         std::size_t promptLen, std::size_t decodeLen);
 
+/** KV-pool pressure at the moment of an admission decision. */
+struct KvPressure
+{
+    bool bounded = false;      ///< False when the pool is unbounded.
+    double freeBytes = 0.0;    ///< Unallocated pool bytes (bounded only).
+    double freeFraction = 1.0; ///< freeBytes / capacity (1 unbounded).
+};
+
+/** A request's KV charge: allocated bytes covering needed bytes. */
+struct KvCharge
+{
+    double allocated = 0.0;
+    double needed = 0.0;
+};
+
 /**
- * Block-granular KV pool ledger (deterministic; internally
- * synchronized so shard views and monitors may read it concurrently
- * with the owning event core — the clang thread-safety lane checks
- * every ledger access is made under the annotated mutex).
+ * KV pool ledger for either policy (deterministic, single owner).
  *
  * Capacity decisions (fits()) read only the allocated-bytes ledger,
  * which changes solely at block boundaries, admissions, preemptions
@@ -107,6 +124,9 @@ double kvFootprintBytes(const KvOptions &kv, double bytesPerToken,
  * stepping breaks its windows at. The needed-bytes ledger is
  * statistics-only (fragmentation/utilization), so advancing it in a
  * closed-form lump between boundaries can never flip a decision.
+ * Under Reserve a request's allocated and needed bytes are the same
+ * footprint, moved through the same sequence of adds and removes, so
+ * the fragmentation peak stays exactly 0.
  */
 class KvBlockManager
 {
@@ -114,27 +134,76 @@ class KvBlockManager
     explicit KvBlockManager(const KvOptions &opts);
 
     bool unbounded() const { return kvUnbounded(opts_.capacityBytes); }
-    const KvOptions &options() const { return opts_; }
 
     /**
      * Bytes a request with @p bytesPerToken per-token KV holds when
      * @p tokens tokens are resident, rounded up to whole blocks.
      */
-    double allocatedBytes(double bytesPerToken, std::size_t tokens) const;
+    double
+    allocatedBytes(double bytesPerToken, std::size_t tokens) const
+    {
+        if (tokens == 0 || bytesPerToken <= 0.0)
+            return 0.0;
+        // Whole blocks of blockTokens tokens. Every TP shard holds the
+        // same block count of 1/shards-sized slices, so the aggregate
+        // is exactly shards x the per-shard ledger (see file comment).
+        const std::size_t blocks =
+            (tokens + opts_.blockTokens - 1) / opts_.blockTokens;
+        return static_cast<double>(blocks) *
+               static_cast<double>(opts_.blockTokens) * bytesPerToken;
+    }
 
     /**
-     * Would growing the pool by @p extraBytes fit? @p admission
-     * additionally reserves the low-watermark headroom (only applied
-     * by admission while other requests are running). Always true
-     * when unbounded.
+     * What a request charges at (re)admission: its whole
+     * @p footprintBytes under Reserve; under Paged, its
+     * @p residentTokens rounded up to whole blocks, covering their
+     * exact bytes.
      */
-    bool fits(double extraBytes, bool admission) const;
+    KvCharge
+    admissionCharge(double footprintBytes, double bytesPerToken,
+                    std::size_t residentTokens) const
+    {
+        if (opts_.policy == KvPolicy::Reserve)
+            return {footprintBytes, footprintBytes};
+        return {allocatedBytes(bytesPerToken, residentTokens),
+                bytesPerToken * static_cast<double>(residentTokens)};
+    }
+
+    /**
+     * Would growing the pool by @p extraBytes fit? Under Paged,
+     * @p admission additionally reserves the low-watermark headroom
+     * (only applied by admission while other requests are running).
+     * Always true when unbounded.
+     */
+    bool
+    fits(double extraBytes, bool admission) const
+    {
+        if (unbounded())
+            return true;
+        const double headroom =
+            admission && opts_.policy == KvPolicy::Paged
+                ? opts_.lowWatermark * opts_.capacityBytes
+                : 0.0;
+        return used_ + extraBytes <= opts_.capacityBytes - headroom;
+    }
 
     /** Charge @p allocated block bytes covering @p needed exact bytes. */
-    void add(double allocated, double needed);
+    void
+    add(double allocated, double needed)
+    {
+        used_ += allocated;
+        needed_ += needed;
+        peakUsed_ = std::max(peakUsed_, used_);
+        peakFrag_ = std::max(peakFrag_, used_ - needed_);
+    }
 
     /** Release bytes previously charged with add(). */
-    void remove(double allocated, double needed);
+    void
+    remove(double allocated, double needed)
+    {
+        used_ -= allocated;
+        needed_ -= needed;
+    }
 
     /**
      * Clear the floating-point residue of an empty pool (an idle
@@ -143,27 +212,34 @@ class KvBlockManager
      */
     void clearIdleResidual();
 
-    double usedBytes() const;
-    double neededBytes() const;
-    double peakUsedBytes() const;
+    /** The free space a scheduler sees (the unbounded defaults when
+     *  the pool is unbounded). */
+    KvPressure
+    pressure() const
+    {
+        KvPressure p;
+        p.bounded = !unbounded();
+        if (p.bounded) {
+            p.freeBytes = std::max(0.0, opts_.capacityBytes - used_);
+            p.freeFraction = p.freeBytes / opts_.capacityBytes;
+        }
+        return p;
+    }
+
+    double usedBytes() const { return used_; }
+    double neededBytes() const { return needed_; }
+    double peakUsedBytes() const { return peakUsed_; }
     /** Peak internal fragmentation (allocated - needed) in bytes. */
-    double peakFragmentationBytes() const;
-    double freeBytes() const;
-    /** Free fraction of the pool (1.0 when unbounded). */
-    double freeFraction() const;
+    double peakFragmentationBytes() const { return peakFrag_; }
 
   private:
-    /** freeBytes() body for callers already holding the lock. */
-    double freeBytesLocked() const MCBP_REQUIRES(mutex_);
-
     KvOptions opts_;
-    mutable Mutex mutex_;
-    /** Allocated (block-rounded) bytes. */
-    double used_ MCBP_GUARDED_BY(mutex_) = 0.0;
+    /** Allocated (block-rounded under Paged) bytes. */
+    double used_ = 0.0;
     /** Exact bytes the resident tokens need. */
-    double needed_ MCBP_GUARDED_BY(mutex_) = 0.0;
-    double peakUsed_ MCBP_GUARDED_BY(mutex_) = 0.0;
-    double peakFrag_ MCBP_GUARDED_BY(mutex_) = 0.0;
+    double needed_ = 0.0;
+    double peakUsed_ = 0.0;
+    double peakFrag_ = 0.0;
 };
 
 } // namespace mcbp::engine

@@ -63,6 +63,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/kv_block_manager.hpp"
+
 namespace mcbp::engine {
 
 /** Selectable admission policies (ServingOptions::policy). */
@@ -143,14 +145,6 @@ class AdmissionView
     std::uint64_t consult_ = 0;
     mutable std::vector<Slot> memo_;
     mutable std::size_t built_ = 0;
-};
-
-/** KV-pool pressure at the moment of an admission decision. */
-struct KvPressure
-{
-    bool bounded = false;      ///< False when the pool is unbounded.
-    double freeBytes = 0.0;    ///< Unallocated pool bytes (bounded only).
-    double freeFraction = 1.0; ///< freeBytes / capacity (1 unbounded).
 };
 
 /** Admission-order policy. Stateless; the event core owns all state. */

@@ -621,16 +621,16 @@ TEST(FaultServing, DegradedPathGoldenBits)
     loss.permanent = true;
     opts.faults.events.push_back(loss);
 
-    // Captured from the engine before the per-topology price record
-    // replaced CostedRequest's degraded twin fields.
+    // Degraded decode windows charge the degraded topology's
+    // per-request energy.
     struct Cell
     {
         KvPolicy kv;
         std::uint64_t digest;
     };
     const Cell cells[] = {
-        {KvPolicy::Reserve, 0xd48424c2b24ec633ull},
-        {KvPolicy::Paged, 0xcbbb58ec0ee3055bull},
+        {KvPolicy::Reserve, 0x5a364d61107700abull},
+        {KvPolicy::Paged, 0xbad1f949b0a22230ull},
     };
     for (const Cell &cell : cells) {
         ServingOptions o = opts;

@@ -138,8 +138,23 @@ TEST(KvBlocks, FootprintAndRoundingMath)
     EXPECT_TRUE(kvUnbounded(-3.0));
     EXPECT_FALSE(kvUnbounded(1.0));
 
-    // Watermark headroom applies to admission checks only.
+    // Admission charges: the whole footprint under reserve (resident
+    // tokens ignored), the block-rounded residency covering its exact
+    // bytes under paged.
+    kv.policy = KvPolicy::Reserve;
+    const KvCharge reserved =
+        KvBlockManager(kv).admissionCharge(34.0, 2.0, 10);
+    EXPECT_DOUBLE_EQ(reserved.allocated, 34.0);
+    EXPECT_DOUBLE_EQ(reserved.needed, 34.0);
+    kv.policy = KvPolicy::Paged;
+    const KvCharge paged =
+        KvBlockManager(kv).admissionCharge(64.0, 2.0, 10);
+    EXPECT_DOUBLE_EQ(paged.allocated, 32.0);
+    EXPECT_DOUBLE_EQ(paged.needed, 20.0);
+
+    // Watermark headroom applies to paged admission checks only.
     KvOptions tight;
+    tight.policy = KvPolicy::Paged;
     tight.blockTokens = 16;
     tight.capacityBytes = 100.0;
     tight.lowWatermark = 0.1;
@@ -147,6 +162,19 @@ TEST(KvBlocks, FootprintAndRoundingMath)
     EXPECT_TRUE(pool.fits(95.0, /*admission=*/false));
     EXPECT_FALSE(pool.fits(95.0, /*admission=*/true));
     EXPECT_TRUE(pool.fits(90.0, /*admission=*/true));
+    tight.policy = KvPolicy::Reserve;
+    const KvBlockManager reserve_pool(tight);
+    EXPECT_TRUE(reserve_pool.fits(100.0, /*admission=*/true));
+    EXPECT_FALSE(reserve_pool.fits(100.5, /*admission=*/true));
+
+    // An unbounded pool fits anything and reports the unbounded
+    // pressure defaults.
+    const KvBlockManager open_pool{KvOptions{}};
+    EXPECT_TRUE(open_pool.fits(1e30, /*admission=*/true));
+    const KvPressure p = open_pool.pressure();
+    EXPECT_FALSE(p.bounded);
+    EXPECT_EQ(p.freeBytes, 0.0);
+    EXPECT_EQ(p.freeFraction, 1.0);
 }
 
 TEST(KvBlocks, LedgerTracksPeaksAndFragmentation)
@@ -154,19 +182,40 @@ TEST(KvBlocks, LedgerTracksPeaksAndFragmentation)
     KvOptions kv;
     kv.blockTokens = 8;
     kv.capacityBytes = 256.0;
+    kv.policy = KvPolicy::Paged;
     KvBlockManager pool(kv);
     pool.add(128.0, 100.0);
     pool.add(64.0, 60.0);
     EXPECT_DOUBLE_EQ(pool.usedBytes(), 192.0);
     EXPECT_DOUBLE_EQ(pool.neededBytes(), 160.0);
     EXPECT_DOUBLE_EQ(pool.peakFragmentationBytes(), 32.0);
-    EXPECT_DOUBLE_EQ(pool.freeBytes(), 64.0);
-    EXPECT_DOUBLE_EQ(pool.freeFraction(), 0.25);
+    const KvPressure p = pool.pressure();
+    EXPECT_TRUE(p.bounded);
+    EXPECT_DOUBLE_EQ(p.freeBytes, 64.0);
+    EXPECT_DOUBLE_EQ(p.freeFraction, 0.25);
     pool.remove(128.0, 100.0);
     pool.remove(64.0, 60.0);
     pool.clearIdleResidual();
     EXPECT_DOUBLE_EQ(pool.usedBytes(), 0.0);
     EXPECT_DOUBLE_EQ(pool.peakUsedBytes(), 192.0);
+    EXPECT_DOUBLE_EQ(pool.pressure().freeBytes, 256.0);
+
+    // Reserve: each request charges its footprint as both allocated
+    // and needed bytes, so the peak tracks the reservations and the
+    // fragmentation peak stays exactly 0.
+    kv.policy = KvPolicy::Reserve;
+    KvBlockManager reserve(kv);
+    const KvCharge a = reserve.admissionCharge(100.0, 2.0, 7);
+    const KvCharge b = reserve.admissionCharge(60.0, 2.0, 7);
+    reserve.add(a.allocated, a.needed);
+    reserve.add(b.allocated, b.needed);
+    reserve.remove(a.allocated, a.needed);
+    EXPECT_DOUBLE_EQ(reserve.peakUsedBytes(), 160.0);
+    EXPECT_EQ(reserve.peakFragmentationBytes(), 0.0);
+    EXPECT_DOUBLE_EQ(reserve.pressure().freeBytes, 196.0);
+    reserve.remove(b.allocated, b.needed);
+    reserve.clearIdleResidual();
+    EXPECT_EQ(reserve.usedBytes(), 0.0);
 }
 
 TEST(Paging, MatchesReserveWhenCapacityNeverBinds)
@@ -242,6 +291,8 @@ TEST(Paging, ReservePolicyIgnoresPagingKnobs)
     EXPECT_EQ(ra.kvPeakBytes, rb.kvPeakBytes);
     EXPECT_EQ(ra.preemptions, 0u);
     EXPECT_EQ(ra.kvBlockUtilization, 0.0);
+    EXPECT_EQ(ra.kvFragmentationPeakBytes, 0.0);
+    EXPECT_GT(ra.kvPeakBytes, 0.0);
 }
 
 TEST(Paging, AdmitsMoreThanReservationUnderPressure)
